@@ -44,6 +44,7 @@ from .rindler import R_MAX, accel_to_r, check_accel_param, ghz_rindler_density
 from .tangles import (
     TangleReport,
     full_report,
+    full_reports,
     negativity,
     pi_tangle,
     residual,
@@ -73,6 +74,7 @@ __all__ = [
     "dagger",
     "find_esd",
     "full_report",
+    "full_reports",
     "ghz_rindler_density",
     "hermitian_eigenvalues",
     "kron",

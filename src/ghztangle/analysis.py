@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .channels import CHANNEL_KINDS, CouplingConfig
 from .rindler import check_accel_param
-from .tangles import TangleReport, full_report
+from .tangles import TangleReport, full_report, full_reports
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -20,6 +20,9 @@ REBOUND_TOL = 1e-6
 BISECT_WIDTH = 1e-7
 
 CLOSED_FORM_TOL = 1e-9
+
+# Largest (r, p) grid a SweepSpec accepts; bounds the memory of one sweep.
+MAX_GRID_POINTS = 1_000_000
 
 TANGLE_SELECTORS = (
     "n_A_BC",
@@ -61,13 +64,21 @@ class SweepSpec:
             check_accel_param(r)
         if not 0.0 <= self.p_start <= self.p_stop <= 1.0:
             raise ValueError("p range must satisfy 0 <= start <= stop <= 1")
-        if self.p_step <= 0.0:
+        if not self.p_step > 0.0:
             raise ValueError("p step must be positive")
+        # Counted, never built, so a tiny step fails before allocating.
+        if len(self.r_values) * self._p_count() > MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} (r, p) points")
+
+    def _p_count(self) -> int:
+        # min() keeps the count finite when a tiny step overflows it; a count
+        # that large is rejected either way.
+        steps = min((self.p_stop - self.p_start) / self.p_step + 1e-9, MAX_GRID_POINTS)
+        return math.floor(steps) + 1
 
     def p_grid(self) -> list[float]:
         """Inclusive grid from p_start in steps of p_step."""
-        count = int(math.floor((self.p_stop - self.p_start) / self.p_step + 1e-9))
-        grid = [round(self.p_start + i * self.p_step, 12) for i in range(count + 1)]
+        grid = [round(self.p_start + i * self.p_step, 12) for i in range(self._p_count())]
         if abs(grid[-1] - self.p_stop) < self.p_step * 1e-9:
             grid[-1] = self.p_stop
         return grid
@@ -83,8 +94,9 @@ class SweepSpec:
 
 def sweep(spec: SweepSpec) -> list[TangleReport]:
     """All reports on the grid, r-major, p ascending within each r."""
-    grid = spec.p_grid()
-    return [full_report(r, spec.config_at(p)) for r in spec.r_values for p in grid]
+    configs = [spec.config_at(p) for p in spec.p_grid()]
+    r_values = [r for r in spec.r_values for _ in configs]
+    return full_reports(r_values, configs * len(spec.r_values))
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,8 @@ def find_esd(
         return getattr(full_report(r, spec.config_at(p)), tangle)
 
     grid = spec.p_grid()
-    vals = [value(p) for p in grid]
+    reports = full_reports([r] * len(grid), [spec.config_at(p) for p in grid])
+    vals = [getattr(rep, tangle) for rep in reports]
 
     first = next((i for i, v in enumerate(vals) if v <= ZERO_TOL), None)
     if first is None:

@@ -9,6 +9,10 @@ real symmetric matrix [[Re, -Im], [Im, Re]] and runs cyclic Jacobi sweeps
 (see ``_kernels``). Each eigenvalue of the original matrix shows up twice
 in the embedded spectrum; after sorting, consecutive entries are paired and
 averaged.
+
+Functions named ``*_stack`` are the internal forms behind the public ones:
+they act on the last two axes of an (N, d, d) stack, take trusted input
+and skip the argument checks. The batched report pipeline calls them.
 """
 
 from __future__ import annotations
@@ -72,15 +76,21 @@ def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
         raise ValueError("keep set must be strictly increasing")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError("subsystem index out of range")
-    t = rho.reshape((2,) * (2 * n))
+    return partial_trace_stack(rho, keep, n)
+
+
+def partial_trace_stack(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+    lead = rho.shape[:-2]
+    b = len(lead)
+    t = rho.reshape(lead + (2,) * (2 * n))
     live = n
     for q in range(n - 1, -1, -1):
         if q in keep:
             continue
-        t = np.trace(t, axis1=q, axis2=q + live)
+        t = np.trace(t, axis1=b + q, axis2=b + q + live)
         live -= 1
     d = 2 ** len(keep)
-    return t.reshape(d, d)
+    return t.reshape(lead + (d, d))
 
 
 def partial_transpose(rho, subsystem: int, n_qubits: int | None = None) -> np.ndarray:
@@ -89,22 +99,35 @@ def partial_transpose(rho, subsystem: int, n_qubits: int | None = None) -> np.nd
     n = _infer_qubits(rho.shape[0]) if n_qubits is None else n_qubits
     if subsystem < 0 or subsystem >= n:
         raise ValueError("subsystem index out of range")
-    t = rho.reshape((2,) * (2 * n))
-    t = np.swapaxes(t, subsystem, subsystem + n)
-    d = rho.shape[0]
-    return t.reshape(d, d).copy()
+    return partial_transpose_stack(rho, subsystem, n)
 
 
-def _checked_hermitian(m) -> np.ndarray:
-    m = as_matrix(m)
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+def partial_transpose_stack(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
+    lead = rho.shape[:-2]
+    b = len(lead)
+    t = rho.reshape(lead + (2,) * (2 * n))
+    t = np.swapaxes(t, b + subsystem, b + subsystem + n)
+    return t.reshape(rho.shape).copy()
+
+
+def _checked_hermitian(m: np.ndarray) -> np.ndarray:
+    mh = np.swapaxes(m, -1, -2).conj()
+    if np.abs(m - mh).max() > HERMITICITY_TOL:
         raise ValueError("hermiticity violated")
-    return (m + m.conj().T) / 2.0
+    mh += m
+    mh /= 2.0
+    return mh
 
 
 def _embed_real(h: np.ndarray) -> np.ndarray:
-    # [[Re, -Im], [Im, Re]] is symmetric when h is Hermitian.
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    # [[Re, -Im], [Im, Re]] is symmetric when h is Hermitian. Filled in
+    # place: a stack of embeddings is the pipeline's largest array.
+    d = h.shape[-1]
+    out = np.empty(h.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = h.real
+    out[..., d:, :d] = h.imag
+    np.negative(h.imag, out=out[..., :d, d:])
+    return out
 
 
 def _run_jacobi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +141,7 @@ def _run_jacobi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _paired(w_doubled: np.ndarray) -> np.ndarray:
     w = np.sort(w_doubled)
-    lo, hi = w[0::2], w[1::2]
+    lo, hi = w[..., 0::2], w[..., 1::2]
     if np.max(hi - lo) > PAIR_TOL:
         raise RuntimeError("eigenvalue pairing failed")
     return (lo + hi) / 2.0
@@ -126,9 +149,22 @@ def _paired(w_doubled: np.ndarray) -> np.ndarray:
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending."""
-    h = _checked_hermitian(m)
+    h = _checked_hermitian(as_matrix(m))
     w_doubled, _ = _run_jacobi(_embed_real(h))
     return _paired(w_doubled)
+
+
+def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every matrix in a stack, one row each.
+
+    Same embedding, rotations and pairing as ``hermitian_eigenvalues``, so
+    each row is bit-identical to the single-matrix result; the Jacobi
+    kernel runs once over the whole stack.
+    """
+    a = _embed_real(_checked_hermitian(m))
+    if (_kernels.jacobi_sweeps_batched(a, OFF_DIAGONAL_TOL, MAX_SWEEPS) < 0).any():
+        raise RuntimeError("eigensolver did not converge")
+    return _paired(np.diagonal(a, axis1=-2, axis2=-1))
 
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +175,7 @@ def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     Gram-Schmidt filtered, since the two partners of one pair complexify
     to parallel vectors.
     """
-    h = _checked_hermitian(m)
+    h = _checked_hermitian(as_matrix(m))
     d = h.shape[0]
     w_doubled, v = _run_jacobi(_embed_real(h))
     order = np.argsort(w_doubled, kind="stable")

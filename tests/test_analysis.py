@@ -6,6 +6,7 @@ from ghztangle.analysis import (
     CLOSED_FORM_TOL,
     DEFAULT_R_VALUES,
     ERRATA,
+    MAX_GRID_POINTS,
     EquationCheck,
     SweepSpec,
     find_esd,
@@ -194,3 +195,16 @@ def test_errata_inventory():
     assert "normalization" in joined
     assert "sqrt(p)" in joined
     assert "phase-flip" in joined
+
+
+def test_sweep_spec_caps_grid_size_without_building_it():
+    # 5 p values per r: exactly MAX_GRID_POINTS is allowed, one more r is not.
+    n_r = MAX_GRID_POINTS // 5
+    assert SweepSpec("phase_flip", r_values=(0.0,) * n_r, p_step=0.25) is not None
+    with pytest.raises(ValueError, match="grid has more than"):
+        SweepSpec("phase_flip", r_values=(0.0,) * (n_r + 1), p_step=0.25)
+    for step in (1e-12, 5e-324):
+        with pytest.raises(ValueError, match="grid has more than"):
+            SweepSpec("phase_flip", r_values=(0.0,), p_step=step)
+    with pytest.raises(ValueError, match="p step must be positive"):
+        SweepSpec("phase_flip", p_step=math.nan)

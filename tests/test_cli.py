@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -354,3 +355,16 @@ def test_console_script():
     proc = subprocess.run([exe, "state", "--r", "2"], capture_output=True, text=True)
     assert proc.returncode == 1
     assert "r out of range" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_huge_grid_is_usage_error_before_any_work(command, tmp_path, capsys):
+    argv = [command, "--p-step", "1e-12"]
+    if command == "sweep":
+        argv += ["--channel", "phase-flip", "--out", str(tmp_path / "x.csv")]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert "grid has more than" in err
+    assert list(tmp_path.iterdir()) == []
