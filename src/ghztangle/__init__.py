@@ -31,13 +31,9 @@ from .channels import (
     phase_flip,
 )
 from .linalg import (
-    dagger,
     hermitian_eigenvalues,
-    kron,
-    matmul,
     partial_trace,
     partial_transpose,
-    trace,
     trace_norm,
 )
 from .rindler import R_MAX, accel_to_r, check_accel_param, ghz_rindler_density
@@ -71,15 +67,12 @@ __all__ = [
     "apply_channel",
     "backend_name",
     "check_accel_param",
-    "dagger",
     "find_esd",
     "full_report",
     "full_reports",
     "ghz_rindler_density",
     "hermitian_eigenvalues",
-    "kron",
     "lift",
-    "matmul",
     "negativity",
     "partial_trace",
     "partial_transpose",
@@ -88,7 +81,6 @@ __all__ = [
     "pi_tangle",
     "residual",
     "sweep",
-    "trace",
     "trace_norm",
     "two_tangle",
     "verify",

@@ -1,91 +1,31 @@
-"""Cyclic Jacobi sweep kernels for real symmetric matrices.
+"""Cyclic Jacobi sweep kernels for real symmetric matrices, in numpy.
 
-Two interchangeable implementations of the same rotation sequence: a
-numba-compiled scalar-loop kernel and a vectorized pure-numpy one. The
-environment variable GHZTANGLE_BACKEND ("numba" or "numpy") picks one at
-import time; the default is numba when it is importable, numpy otherwise.
+``jacobi_sweeps`` diagonalizes one matrix in place: ``a`` ends up with the
+eigenvalues on its diagonal and ``v`` accumulates the rotations (columns
+are eigenvectors). It returns the number of completed sweeps, or -1 if the
+off-diagonal Frobenius norm is still above ``off_tol`` after
+``max_sweeps`` sweeps.
 
-Both kernels diagonalize in place: ``a`` ends up with the eigenvalues on
-its diagonal and ``v`` accumulates the rotations (columns are eigenvectors).
-They return the number of completed sweeps, or -1 if the off-diagonal
-Frobenius norm is still above ``off_tol`` after ``max_sweeps`` sweeps.
-
-``jacobi_sweeps_batched`` runs the numpy kernel's rotation sequence on a
-whole stack of matrices at once, without eigenvectors; it is what the
-batched report pipeline uses.
+``jacobi_sweeps_batched`` runs the same rotation sequence on a whole stack
+of matrices at once, without eigenvectors; it is what the batched report
+pipeline uses. A single matrix stays on ``jacobi_sweeps``: as a stack of
+one, the batched kernel's per-rotation bookkeeping makes a dense solve
+2-3.5 times slower.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_ENV_VAR = "GHZTANGLE_BACKEND"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
-
 
 # Beyond this |theta|, theta * theta overflows (or nearly does); there
 # sqrt(1 + theta^2) is |theta| to working precision, so t = 1 / (2 |theta|).
 BIG_THETA = 1e150
 
 
-def _jacobi_sweeps_loops(a, v, off_tol, max_sweeps):
-    # Scalar-loop form, written to compile under numba without object mode.
-    n = a.shape[0]
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if math.sqrt(2.0 * off) <= off_tol:
-            return sweep
-        if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > BIG_THETA:
-                    t = 0.5 / abs(theta)
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api = a[p, i]
-                    aqi = a[q, i]
-                    a[p, i] = c * api - s * aqi
-                    a[q, i] = s * api + c * aqi
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-    return -1
-
-
-def jacobi_sweeps_numpy(a, v, off_tol, max_sweeps):
-    """Pure-numpy kernel: same sweep order and rotation formulas."""
+def jacobi_sweeps(a, v, off_tol, max_sweeps):
+    """Cyclic Jacobi sweeps on one matrix, rotations accumulated in ``v``."""
     n = a.shape[0]
     for sweep in range(max_sweeps + 1):
         off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
@@ -125,13 +65,13 @@ def jacobi_sweeps_numpy(a, v, off_tol, max_sweeps):
 
 
 def _off_norms(a):
-    # Per matrix, the same sum as jacobi_sweeps_numpy's, in the same order.
+    # Per matrix, the same sum as jacobi_sweeps', in the same order.
     upper = np.triu(a, 1)
     return np.sqrt(2.0 * np.square(upper, out=upper).sum(axis=(1, 2)))
 
 
 def jacobi_sweeps_batched(a, off_tol, max_sweeps):
-    """``jacobi_sweeps_numpy`` over an (N, n, n) stack, eigenvalues only.
+    """``jacobi_sweeps`` over an (N, n, n) stack, eigenvalues only.
 
     Every matrix goes through exactly the rotations the single-matrix kernel
     would apply to it, with the same arithmetic: a rotation touches only
@@ -181,29 +121,6 @@ def jacobi_sweeps_batched(a, off_tol, max_sweeps):
     return sweeps
 
 
-if HAS_NUMBA:
-    jacobi_sweeps_numba = numba.njit(cache=True)(_jacobi_sweeps_loops)
-else:
-    jacobi_sweeps_numba = None
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "":
-        return "numba" if HAS_NUMBA else "numpy"
-    raise RuntimeError(f"unknown {_ENV_VAR} value {choice!r}, expected 'numba' or 'numpy'")
-
-
-BACKEND = _select_backend()
-
-jacobi_sweeps = jacobi_sweeps_numba if BACKEND == "numba" else jacobi_sweeps_numpy
-
-
 def backend_name() -> str:
-    return BACKEND
+    """Name of the eigen kernel backend; numpy is the only one."""
+    return "numpy"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, dagger
+from .linalg import as_matrix
 
 PHASE_DAMPING = "phase_damping"
 PHASE_FLIP = "phase_flip"
@@ -135,18 +135,15 @@ def lift(cfg: CouplingConfig) -> tuple[np.ndarray, ...]:
 def apply_channel(ops, rho) -> np.ndarray:
     """Apply a Kraus family to a density matrix, checking completeness first."""
     rho = as_matrix(rho)
+    ops = [as_matrix(e) for e in ops]
     d = rho.shape[0]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for e in ops:
-        e = as_matrix(e)
-        if e.shape[0] != d:
-            raise ValueError("incompatible dimensions")
-        total += dagger(e) @ e
+    if any(e.shape[0] != d for e in ops):
+        raise ValueError("incompatible dimensions")
+    total = sum(e.conj().T @ e for e in ops)
     if np.abs(total - np.eye(d)).max() > COMPLETENESS_TOL:
         raise ValueError("Kraus completeness violated")
     out = np.zeros((d, d), dtype=np.complex128)
     for e in ops:
-        e = np.asarray(e, dtype=np.complex128)
         out += e @ rho @ e.conj().T
     return (out + out.conj().T) / 2.0
 

@@ -148,13 +148,17 @@ def cmd_state(args) -> int:
     return EXIT_OK
 
 
-def _sweep_spec_from_args(args) -> SweepSpec:
+def _coupling_from_args(args) -> tuple[str, tuple[float, float, float]]:
     coupling = _COUPLING_FLAGS[args.coupling]
-    weights = (1.0, 1.0, 1.0)
-    if coupling == "custom":
-        if args.weights is None:
-            raise UsageError("custom coupling requires --weights w0,w1,w2")
-        weights = _parse_weights(args.weights)
+    if coupling != "custom":
+        return coupling, (1.0, 1.0, 1.0)
+    if args.weights is None:
+        raise UsageError("custom coupling requires --weights w0,w1,w2")
+    return coupling, _parse_weights(args.weights)
+
+
+def _sweep_spec_from_args(args) -> SweepSpec:
+    coupling, weights = _coupling_from_args(args)
     return SweepSpec(
         channel=_CHANNEL_FLAGS[args.channel],
         coupling=coupling,
@@ -205,12 +209,7 @@ def cmd_verify(args) -> int:
 
 def cmd_esd(args) -> int:
     r_values = _parse_r_list(args.r)
-    coupling = _COUPLING_FLAGS[args.coupling]
-    weights = (1.0, 1.0, 1.0)
-    if coupling == "custom":
-        if args.weights is None:
-            raise UsageError("custom coupling requires --weights w0,w1,w2")
-        weights = _parse_weights(args.weights)
+    coupling, weights = _coupling_from_args(args)
     print(f"channel={_CHANNEL_FLAGS[args.channel]} coupling={coupling} tangle={args.tangle}")
     print(f"{'r':>10s}  {'p_star':>10s}  {'esd':>5s}  {'rebound':>7s}  {'onset':>10s}")
     for r in r_values:

@@ -13,6 +13,10 @@ averaged.
 Functions named ``*_stack`` are the internal forms behind the public ones:
 they act on the last two axes of an (N, d, d) stack, take trusted input
 and skip the argument checks. The batched report pipeline calls them.
+A public function coerces its input with ``as_matrix`` and checks its
+arguments with ``_checked_keep``, once; ``tangles.negativity`` and
+``tangles.two_tangle`` do the same and then call ``_eigenvalues``. The
+numeric checks (hermiticity, convergence, pairing) run on every solve.
 """
 
 from __future__ import annotations
@@ -37,38 +41,14 @@ def as_matrix(m) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("incompatible dimensions")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_matrix(a)))
-
-
-def _infer_qubits(dim: int) -> int:
+def _checked_keep(rho: np.ndarray, keep, n_qubits: int | None) -> tuple[tuple[int, ...], int]:
+    """Validate a set of qubit indices against a coerced matrix; returns (keep, n)."""
+    dim = rho.shape[0]
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError("matrix dimension is not a power of two")
-    return n
-
-
-def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
-    """Reduced density matrix over the qubits in ``keep`` (ascending indices)."""
-    rho = as_matrix(rho)
-    n = _infer_qubits(rho.shape[0]) if n_qubits is None else n_qubits
+    if n_qubits is not None and n_qubits != n:
+        raise ValueError(f"n_qubits={n_qubits} does not match a {dim}x{dim} matrix")
     keep = tuple(keep)
     if len(keep) == 0:
         raise ValueError("empty keep set")
@@ -76,6 +56,13 @@ def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
         raise ValueError("keep set must be strictly increasing")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError("subsystem index out of range")
+    return keep, n
+
+
+def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
+    """Reduced density matrix over the qubits in ``keep`` (ascending indices)."""
+    rho = as_matrix(rho)
+    keep, n = _checked_keep(rho, keep, n_qubits)
     return partial_trace_stack(rho, keep, n)
 
 
@@ -96,9 +83,7 @@ def partial_trace_stack(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.nd
 def partial_transpose(rho, subsystem: int, n_qubits: int | None = None) -> np.ndarray:
     """Transpose one qubit's indices, leaving the rest untouched."""
     rho = as_matrix(rho)
-    n = _infer_qubits(rho.shape[0]) if n_qubits is None else n_qubits
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError("subsystem index out of range")
+    _, n = _checked_keep(rho, (subsystem,), n_qubits)
     return partial_transpose_stack(rho, subsystem, n)
 
 
@@ -147,11 +132,15 @@ def _paired(w_doubled: np.ndarray) -> np.ndarray:
     return (lo + hi) / 2.0
 
 
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
+    w_doubled, _ = _run_jacobi(_embed_real(_checked_hermitian(m)))
+    return _paired(w_doubled)
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending."""
-    h = _checked_hermitian(as_matrix(m))
-    w_doubled, _ = _run_jacobi(_embed_real(h))
-    return _paired(w_doubled)
+    return _eigenvalues(as_matrix(m))
 
 
 def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ import numpy as np
 from . import closedform
 from .channels import PHASE_DAMPING, CouplingConfig, dephase_stack
 from .linalg import (
-    hermitian_eigenvalues,
+    _checked_keep,
+    _eigenvalues,
+    as_matrix,
     hermitian_eigenvalues_stack,
-    partial_trace,
     partial_trace_stack,
-    partial_transpose,
     partial_transpose_stack,
 )
 from .rindler import ghz_rindler_density
@@ -56,14 +56,20 @@ def negativity(rho, subsystem: int, n_qubits: int | None = None) -> float:
     2 * sum(|negative w|); they agree only if the transposed matrix kept
     unit trace, so the comparison runs on every call.
     """
-    pt = partial_transpose(rho, subsystem, n_qubits)
-    return float(_negativity_from_spectra(hermitian_eigenvalues(pt)))
+    rho = as_matrix(rho)
+    _, n = _checked_keep(rho, (subsystem,), n_qubits)
+    pt = partial_transpose_stack(rho, subsystem, n)
+    return float(_negativity_from_spectra(_eigenvalues(pt)))
 
 
 def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float:
     """Negativity between the two qubits of a reduced pair state."""
-    reduced = partial_trace(rho, pair, n_qubits)
-    return negativity(reduced, 0, 2)
+    rho = as_matrix(rho)
+    pair, n = _checked_keep(rho, pair, n_qubits)
+    if len(pair) != 2:
+        raise ValueError("pair must name two qubits")
+    pt = partial_transpose_stack(partial_trace_stack(rho, pair, n), 0, 2)
+    return float(_negativity_from_spectra(_eigenvalues(pt)))
 
 
 def residual(n_one: float, n_pair_x: float, n_pair_y: float) -> float:
@@ -87,6 +93,14 @@ class TangleReport:
     """Every tangle at one (r, coupling) point, numeric and closed-form.
 
     Field order matches the output column order exactly.
+
+    ``dev_BC`` compares only ``n_B_AC`` with ``cf_n_BC_AC``. The BC closed
+    form claims the B and C one-tangles alike, and they coincide when
+    p1 = p2 (collective and local-Alice coupling); ``verify`` takes the
+    worse of the two, which differs under custom weights. The field keeps
+    the B-only definition because changing it would move pinned output
+    bytes: 8 of the 404 ``dev_BC`` cells of the weighted phase-damping
+    sweep that ``tests/test_golden.py`` pins.
     """
 
     channel: str

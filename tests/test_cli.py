@@ -314,6 +314,35 @@ def test_esd_table(capsys):
     assert float(fields[4]) == pytest.approx(0.505, abs=1e-5)
 
 
+def test_esd_custom_requires_weights(capsys):
+    code, _, err = run_cli(capsys, "esd", "--channel", "phase-flip", "--coupling", "custom", "--r", "0")
+    assert code == 1
+    assert "custom coupling requires --weights" in err
+
+
+def test_esd_custom_weights(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "esd",
+        "--channel",
+        "phase-flip",
+        "--coupling",
+        "custom",
+        "--weights",
+        "0.6,0.6,0.6",
+        "--r",
+        "0,0.7853981633974483",
+    )
+    assert code == 0
+    assert "channel=phase_flip coupling=custom tangle=n_A_BC" in out
+    rows = [line.split() for line in out.strip().splitlines()[-2:]]
+    # Swept p scaled by 0.6 puts the coherence zero 1 - 2(0.6 p) at p = 5/6.
+    assert [row[0] for row in rows] == ["0.0000000", "0.7853982"]
+    assert [row[1] for row in rows] == ["0.8333334", "0.8333334"]
+    assert [row[2:4] for row in rows] == [["yes", "yes"], ["yes", "yes"]]
+    assert [row[4] for row in rows] == ["0.8416667", "0.9166668"]
+
+
 def test_esd_rejects_bad_selector(capsys):
     code, _, err = run_cli(capsys, "esd", "--channel", "phase-flip", "--r", "0", "--tangle", "bogus")
     assert code == 1

@@ -1,5 +1,3 @@
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -24,9 +22,7 @@ def _run(kernel, s, max_sweeps=100):
     return a, v, sweeps
 
 
-KERNELS = [_kernels.jacobi_sweeps_numpy]
-if _kernels.HAS_NUMBA:
-    KERNELS.append(_kernels.jacobi_sweeps_numba)
+KERNELS = [_kernels.jacobi_sweeps]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -60,81 +56,12 @@ def test_matches_numpy_eigvalsh(kernel):
         assert np.abs(v @ v.T - np.eye(16)).max() <= 1e-12
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_kernels_agree_bitwise():
-    # Same rotation sequence, so both kernels should agree to the last digit.
-    rng = np.random.default_rng(103)
-    for _ in range(10):
-        s = _embed(random_hermitian(rng, 8))
-        a1, v1, n1 = _run(_kernels.jacobi_sweeps_numpy, s)
-        a2, v2, n2 = _run(_kernels.jacobi_sweeps_numba, s)
-        assert n1 == n2
-        assert np.abs(a1 - a2).max() <= 1e-13
-        assert np.abs(v1 - v2).max() <= 1e-13
-
-
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_budget_exhausted_returns_minus_one(kernel):
     rng = np.random.default_rng(107)
     s = _embed(random_hermitian(rng, 8))
     _, _, sweeps = _run(kernel, s, max_sweeps=0)
     assert sweeps == -1
-
-
-def _probe_backend(env_value):
-    code = (
-        "import os, sys\n"
-        f"os.environ['GHZTANGLE_BACKEND'] = {env_value!r}\n"
-        "try:\n"
-        "    from ghztangle import _kernels\n"
-        "except RuntimeError as exc:\n"
-        "    print('error:', exc)\n"
-        "    sys.exit(9)\n"
-        "print(_kernels.backend_name())\n"
-    )
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-
-
-def test_env_flag_selects_numpy():
-    out = _probe_backend("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_env_flag_selects_numba():
-    out = _probe_backend("numba")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numba"
-
-
-def test_env_flag_rejects_unknown():
-    out = _probe_backend("cuda")
-    assert out.returncode == 9
-    assert "GHZTANGLE_BACKEND" in out.stdout
-
-
-def test_numpy_backend_gives_same_eigenvalues():
-    # End-to-end check that the fallback path computes identical spectra.
-    code = (
-        "import os\n"
-        "os.environ['GHZTANGLE_BACKEND'] = 'numpy'\n"
-        "import numpy as np\n"
-        "from ghztangle.linalg import hermitian_eigenvalues\n"
-        "rng = np.random.default_rng(109)\n"
-        "x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))\n"
-        "m = (x + x.conj().T) / 2\n"
-        "w = hermitian_eigenvalues(m)\n"
-        "print(' '.join(format(v, '.17g') for v in w))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0
-    got = np.array([float(tok) for tok in out.stdout.split()])
-
-    rng = np.random.default_rng(109)
-    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m = (x + x.conj().T) / 2
-    assert np.abs(got - np.linalg.eigvalsh(m)).max() <= 1e-11
 
 
 def _figure3_embeddings():
@@ -178,7 +105,7 @@ def test_batched_kernel_is_bitwise_single_kernel(stack):
     assert sweeps.shape == (len(stack),)
     assert 0 in sweeps and sweeps.max() > 1
     for i, s in enumerate(stack):
-        a, _, n = _run(_kernels.jacobi_sweeps_numpy, s)
+        a, _, n = _run(_kernels.jacobi_sweeps, s)
         assert sweeps[i] == n
         assert np.diag(got[i]).tobytes() == np.diag(a).tobytes()
 
@@ -200,7 +127,7 @@ def _batched_as_single(a, v, off_tol, max_sweeps):
 
 @pytest.mark.parametrize(
     "kernel",
-    [_kernels._jacobi_sweeps_loops, *KERNELS, _batched_as_single],
+    [*KERNELS, _batched_as_single],
     ids=lambda k: k.__name__,
 )
 def test_huge_rotation_angle_does_not_overflow(kernel):

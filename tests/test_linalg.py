@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from ghztangle import linalg
-from ghztangle.linalg import (
-    dagger,
-    hermitian_eigenvalues,
-    kron,
-    matmul,
-    partial_trace,
-    partial_transpose,
-    trace,
-    trace_norm,
-)
+from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
 
 from oracles import random_density_matrix, random_hermitian, ref_partial_trace, ref_partial_transpose
 
@@ -21,63 +12,6 @@ GHZ[0, 0] = GHZ[7, 7] = GHZ[0, 7] = GHZ[7, 0] = 0.5
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[3, 3] = BELL[0, 3] = BELL[3, 0] = 0.5
-
-
-def test_matmul_identity():
-    m = np.arange(16, dtype=float).reshape(4, 4) + 0j
-    assert np.array_equal(matmul(np.eye(4), m), m)
-
-
-def test_matmul_phase_damping_factors():
-    e0 = np.diag([1.0, np.sqrt(1 - 0.36)])
-    out = matmul(e0, e0)
-    assert np.allclose(out, np.diag([1.0, 0.64]), atol=1e-15)
-
-
-def test_matmul_incompatible_dimensions():
-    with pytest.raises(ValueError, match="incompatible dimensions"):
-        matmul(np.eye(2), np.eye(4))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.array([[1.0, np.inf], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        matmul(bad, np.eye(2))
-
-
-def test_dagger():
-    m = np.array([[0.0, 1j], [0.0, 0.0]])
-    assert np.array_equal(dagger(m), np.array([[0.0, 0.0], [-1j, 0.0]]))
-
-
-def test_dagger_involution():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert np.array_equal(dagger(dagger(m)), m)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron(SZ, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_dimensions():
-    out = kron(np.eye(2), np.eye(4))
-    assert out.shape == (8, 8)
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.abs(left - right).max() <= 1e-14
-
-
-def test_trace():
-    assert trace(np.array([[0.5, 0.3], [0.3, 0.5]])) == pytest.approx(1.0)
-    assert trace(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
 
 
 def test_partial_trace_product_state():
@@ -116,6 +50,11 @@ def test_partial_trace_errors():
         partial_trace(GHZ, (0, 3))
 
 
+def test_partial_trace_rejects_mismatched_qubit_count():
+    with pytest.raises(ValueError, match="n_qubits=2 does not match a 8x8 matrix"):
+        partial_trace(GHZ, (0,), 2)
+
+
 def test_partial_transpose_diagonal_fixed():
     d = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     for q in (0, 1):
@@ -140,6 +79,11 @@ def test_partial_transpose_involution_and_reference():
 def test_partial_transpose_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         partial_transpose(BELL, 2)
+
+
+def test_partial_transpose_rejects_mismatched_qubit_count():
+    with pytest.raises(ValueError, match="n_qubits=3 does not match a 4x4 matrix"):
+        partial_transpose(np.eye(4) / 4, 0, 3)
 
 
 def test_eigenvalues_sigma_z():
@@ -178,6 +122,14 @@ def test_eigenvalue_sum_matches_trace():
 def test_eigenvalues_hermiticity_violated():
     with pytest.raises(ValueError, match="hermiticity violated"):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag_inf"])
+def test_eigenvalues_reject_nonfinite(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_eigenvalues(m)
 
 
 def test_eigenvalues_accepts_tiny_asymmetry():

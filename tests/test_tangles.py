@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghztangle import tangles
+from ghztangle import linalg, tangles
 from ghztangle.channels import CouplingConfig, apply_channel, lift
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
@@ -61,7 +61,7 @@ def test_negativity_matches_reference_route():
 def test_negativity_cross_check_guard(monkeypatch):
     # Feed the consistency check a spectrum that cannot come from a
     # unit-trace matrix; the two reductions then disagree.
-    monkeypatch.setattr(tangles, "hermitian_eigenvalues", lambda m: np.array([-0.2, 0.5]))
+    monkeypatch.setattr(tangles, "_eigenvalues", lambda m: np.array([-0.2, 0.5]))
     with pytest.raises(RuntimeError, match="negativity cross-check failed"):
         negativity(BELL, 0)
 
@@ -80,6 +80,51 @@ def test_two_tangles_vanish_on_family():
             rho = apply_channel(lift(CouplingConfig.collective(kind, p)), ghz_rindler_density(r, r))
             for pair in [(0, 1), (0, 2), (1, 2)]:
                 assert two_tangle(rho, pair, 3) <= 1e-12
+
+
+def test_two_tangle_rejects_a_pair_that_is_not_two_qubits():
+    rho = np.eye(8, dtype=complex) / 8
+    with pytest.raises(ValueError, match="two qubits"):
+        two_tangle(rho, (0,), 3)
+    with pytest.raises(ValueError, match="two qubits"):
+        two_tangle(rho, (0, 1, 2), 3)
+
+
+def test_negativity_rejects_mismatched_qubit_count():
+    with pytest.raises(ValueError, match="n_qubits=2 does not match a 8x8 matrix"):
+        negativity(np.eye(8) / 8, 0, 2)
+
+
+def test_two_tangle_rejects_mismatched_qubit_count():
+    with pytest.raises(ValueError, match="n_qubits=4 does not match a 8x8 matrix"):
+        two_tangle(np.eye(8) / 8, (0, 1), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tangles_reject_nonfinite(bad):
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 7] = rho[7, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        negativity(rho, 0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        two_tangle(rho, (0, 1), 3)
+
+
+def test_each_public_call_coerces_its_input_once(monkeypatch):
+    calls = []
+    original = linalg.as_matrix
+
+    def counting(m):
+        calls.append(1)
+        return original(m)
+
+    for module in (linalg, tangles):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    rho = ghz_rindler_density(0.3, 0.3)
+    negativity(rho, 0, 3)
+    assert len(calls) == 1
+    two_tangle(rho, (0, 1), 3)
+    assert len(calls) == 2
 
 
 def test_residual_arithmetic():
