@@ -115,13 +115,13 @@ def _embed_real(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_jacobi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_jacobi(s: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    # Diagonalizes s; rotations are accumulated in v when one is given.
     a = np.ascontiguousarray(s, dtype=np.float64)
-    v = np.eye(a.shape[0], dtype=np.float64)
     sweeps = _kernels.jacobi_sweeps(a, v, OFF_DIAGONAL_TOL, MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError("eigensolver did not converge")
-    return np.diag(a).copy(), v
+    return np.diag(a).copy()
 
 
 def _paired(w_doubled: np.ndarray) -> np.ndarray:
@@ -134,7 +134,7 @@ def _paired(w_doubled: np.ndarray) -> np.ndarray:
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
-    w_doubled, _ = _run_jacobi(_embed_real(_checked_hermitian(m)))
+    w_doubled = _run_jacobi(_embed_real(_checked_hermitian(m)))
     return _paired(w_doubled)
 
 
@@ -166,7 +166,8 @@ def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _checked_hermitian(as_matrix(m))
     d = h.shape[0]
-    w_doubled, v = _run_jacobi(_embed_real(h))
+    v = np.eye(2 * d)
+    w_doubled = _run_jacobi(_embed_real(h), v)
     order = np.argsort(w_doubled, kind="stable")
     w_sorted = w_doubled[order]
     v_sorted = v[:, order]

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -369,10 +371,13 @@ def test_figure_unknown_number(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # Run the package this test imported, not whatever else is installed.
+    src = Path(ghztangle.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "ghztangle", "state", "--r", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "trace = 1" in proc.stdout

@@ -5,8 +5,15 @@ import pytest
 
 from ghztangle import _kernels
 from ghztangle.channels import CouplingConfig, apply_channel, lift
-from ghztangle.linalg import partial_trace, partial_transpose
+from ghztangle.linalg import (
+    hermitian_eigenvalues_stack,
+    partial_trace,
+    partial_trace_stack,
+    partial_transpose,
+    partial_transpose_stack,
+)
 from ghztangle.rindler import ghz_rindler_density
+from ghztangle.tangles import _negativity_from_spectra, negativity, two_tangle
 
 from oracles import random_hermitian
 
@@ -110,6 +117,48 @@ def test_batched_kernel_is_bitwise_single_kernel(stack):
         assert np.diag(got[i]).tobytes() == np.diag(a).tobytes()
 
 
+def _zero_signs_dropped(a):
+    # -0.0 + 0.0 is +0.0; every other value is unchanged.
+    return (a + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
+def test_single_kernel_without_vectors_is_bitwise(stack):
+    for s in stack:
+        a, _, n = _run(_kernels.jacobi_sweeps, s)
+        bare = s.copy()
+        assert _kernels.jacobi_sweeps(bare, None, 1e-13, 100) == n
+        assert bare.tobytes() == a.tobytes()
+        # The embedding puts 0.0 and -0.0 at mirrored places (-Im of a real
+        # entry). The batched kernel rounds rows and columns separately and
+        # keeps those signs apart; the single kernel mirrors its columns.
+        # Only zero entries can differ, and none once the input is bitwise
+        # symmetric.
+        for start, exact in ((s, False), (s + 0.0, True)):
+            single = start.copy()
+            batched = start[None].copy()
+            assert _kernels.jacobi_sweeps(single, None, 1e-13, 100) == n
+            assert _kernels.jacobi_sweeps_batched(batched, 1e-13, 100)[0] == n
+            assert np.diag(single).tobytes() == np.diag(batched[0]).tobytes()
+            assert _zero_signs_dropped(single) == _zero_signs_dropped(batched[0])
+            if exact:
+                assert single.tobytes() == batched[0].tobytes()
+
+
+def test_public_tangles_equal_the_batched_stack_route():
+    # The dense_states shape: random 3-qubit states of rank 1, 2, 4 and 8.
+    rng = np.random.default_rng(127)
+    rhos = np.array([_low_rank_state(rng, 8, rank) for rank in (1, 2, 4, 8) for _ in range(4)])
+    for q in range(3):
+        pt = partial_transpose_stack(rhos, q, 3)
+        stacked = _negativity_from_spectra(hermitian_eigenvalues_stack(pt))
+        assert [negativity(rho, q, 3) for rho in rhos] == stacked.tolist()
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        pt = partial_transpose_stack(partial_trace_stack(rhos, pair, 3), 0, 2)
+        stacked = _negativity_from_spectra(hermitian_eigenvalues_stack(pt))
+        assert [two_tangle(rho, pair, 3) for rho in rhos] == stacked.tolist()
+
+
 @pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
 def test_batched_kernel_budget_exhausted_per_matrix(stack):
     sweeps = _kernels.jacobi_sweeps_batched(stack.copy(), 1e-13, 0)
@@ -138,3 +187,35 @@ def test_huge_rotation_angle_does_not_overflow(kernel):
         a, _, sweeps = _run(kernel, s)
     assert sweeps > 0
     assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [*KERNELS, _batched_as_single],
+    ids=lambda k: k.__name__,
+)
+def test_overflowing_rotation_angle_is_silent(kernel):
+    # theta = 1e10 / 2e-300 overflows to inf in the divide itself; t is then
+    # 0.5 / inf = 0, and the rotation only zeroes the 1e-300 pivot.
+    s = np.array([[0.0, 1e-300, 0.5], [1e-300, 1e10, 0.0], [0.5, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, _, sweeps = _run(kernel, s)
+    assert sweeps > 0
+    assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        np.zeros((3, 4)),
+        np.zeros((2, 3, 3)),
+        np.random.default_rng(131).normal(size=(6, 6)),
+        np.array([[1.0, 2.0], [2.0 + 2.0**-51, 1.0]]),
+    ],
+    ids=["not-square", "not-2d", "random", "one-ulp"],
+)
+def test_single_kernel_rejects_a_matrix_that_is_not_symmetric(s):
+    # The mirrored update would silently give a wrong spectrum here.
+    with pytest.raises(ValueError, match="symmetric|square"):
+        _kernels.jacobi_sweeps(s.copy(), None, 1e-13, 100)
