@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,26 +23,17 @@ CLOSED_FORM_TOL = 1e-9
 # Largest (r, p) grid a SweepSpec accepts; bounds the memory of one sweep.
 MAX_GRID_POINTS = 1_000_000
 
-# The one-vs-rest cuts (A|BC, B|AC, C|AB) whose negativities make up each
-# selector. The pair states of an X-state are diagonal, so the two-tangles
-# vanish identically and each residual dies with its one-tangle.
-_SELECTOR_CUTS = {
-    "n_A_BC": (0,),
-    "n_B_AC": (1,),
-    "n_C_AB": (2,),
-    "n_AB": (),
-    "n_AC": (),
-    "n_BC": (),
-    "pi_A": (0,),
-    "pi_B": (1,),
-    "pi_C": (2,),
-    "pi_tangle": (0, 1, 2),
-}
-TANGLE_SELECTORS = tuple(_SELECTOR_CUTS)
-
-# The partial transpose on qubit q moves the coherence |000><111| to the
-# entry (m, 7 - m), m = 4 >> q; the negativity of cut q comes from that block.
-_CUT_BLOCKS = ((4, 3), (2, 5), (1, 6))
+# The numeric tangle fields of a report, in column order.
+TANGLE_SELECTORS = tuple(
+    f.name for f in fields(TangleReport) if f.name.startswith(("n_", "pi_"))
+)
+# The pair states of an X-state are diagonal, so the two-tangles vanish
+# identically: dead from p = 0.
+_PAIR_SELECTORS = ("n_AB", "n_AC", "n_BC")
+# Where the accelerated GHZ state may be nonzero: the diagonal except
+# rho[4, 4], rho[5, 5] and rho[6, 6], and the coherence rho[0, 7] with its
+# conjugate. find_esd's death criterion rests on those three zeros.
+_X_SUPPORT = ((0, 1, 2, 3, 7, 0, 7), (0, 1, 2, 3, 7, 7, 0))
 
 
 @dataclass(frozen=True)
@@ -118,14 +109,12 @@ class EsdResult:
     rebound_onset: float | None
 
 
-def _x_state(r: float) -> np.ndarray:
-    """ghz_rindler_density(r, r), checked to be a diagonal plus rho[0, 7] and its conjugate."""
-    rho = ghz_rindler_density(r, r)
-    outer = rho - np.diag(rho.diagonal())
-    outer[0, 7] = outer[7, 0] = 0.0
-    if np.any(outer != 0.0):
+def _check_x_state(r: float) -> None:
+    """RuntimeError unless ghz_rindler_density(r, r) is zero off _X_SUPPORT."""
+    rest = ghz_rindler_density(r, r)
+    rest[_X_SUPPORT] = 0.0
+    if np.any(rest != 0.0):
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
-    return rho
 
 
 def find_esd(
@@ -138,35 +127,31 @@ def find_esd(
     """Locate the smallest p where the selected tangle drops to zero.
 
     Death is decided exactly, never by thresholding a computed tangle. The
-    state is an X-state whose diagonal the channel leaves alone and whose
-    one coherence it scales to c = rho[0, 7] * prod(f_q), the per-qubit
-    ``coherence_factors``. Each one-vs-rest partial transpose is then
-    diagonal apart from the block [[d_i, c], [c*, d_j]], which has a
-    negative eigenvalue exactly when the margin d_i d_j - |c|^2 is negative.
-    A one-tangle and its residual are dead where their cut's margin is not
-    negative, the pi-tangle where all three are dead, and the two-tangles
-    always (p_star = 0). A coherence factor that changes sign passes
-    through zero, so a death between two p values shows as such a change.
+    state is an X-state with rho[4, 4] = rho[5, 5] = rho[6, 6] = 0, and the
+    channel keeps its diagonal and scales its one coherence by the product
+    of the per-qubit ``coherence_factors``. Each one-vs-rest partial
+    transpose then holds a block [[d, c], [c*, 0]], which has a negative
+    eigenvalue unless c = 0. So a one-tangle, its residual and the
+    pi-tangle are dead exactly where some factor is zero; the two-tangles
+    always are (p_star = 0). A factor that changes sign between two p
+    values passed through zero there.
 
     A coarse pass over the default p grid brackets the first death,
     bisection narrows it to BISECT_WIDTH and p_star is the bracket's upper
     end. A scan beyond p_star looks for a rebound of the tangle above
     REBOUND_TOL. When the tangle never dies on the grid the result carries
-    p_star = 1 and the no_esd flag. RuntimeError if the state is not an
-    X-state.
+    p_star = 1 and the no_esd flag. RuntimeError if the state is not such
+    an X-state.
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
-    rho0 = _x_state(r)
-    diag = rho0.diagonal().real
-    blocks = [_CUT_BLOCKS[q] for q in _SELECTOR_CUTS[tangle]]
+    _check_x_state(r)
+    pair = tangle in _PAIR_SELECTORS
 
     def died(f_lo, f) -> bool:
         # Dead at f, or passed through a zero of some factor since f_lo.
-        c = abs(rho0[0, 7] * math.prod(f))
-        dead = all(diag[i] * diag[j] - c * c >= 0.0 for i, j in blocks)
-        return dead or any(a * b <= 0.0 for a, b in zip(f_lo, f))
+        return pair or any(a * b <= 0.0 for a, b in zip(f_lo, f))
 
     def value(p: float) -> float:
         return getattr(full_report(r, spec.config_at(p)), tangle)

@@ -151,6 +151,8 @@ def cmd_state(args) -> int:
 def _coupling_from_args(args) -> tuple[str, tuple[float, float, float]]:
     coupling = _COUPLING_FLAGS[args.coupling]
     if coupling != "custom":
+        if args.weights is not None:
+            raise UsageError("--weights applies only to --coupling custom")
         return coupling, (1.0, 1.0, 1.0)
     if args.weights is None:
         raise UsageError("custom coupling requires --weights w0,w1,w2")

@@ -158,6 +158,31 @@ def test_find_esd_rejects_state_that_is_not_x_shaped(monkeypatch):
         find_esd("phase_flip", 0.3)
 
 
+def test_find_esd_rejects_x_state_with_populated_middle_diagonal(monkeypatch):
+    # Still X-shaped, but rho[5, 5] != 0 gives the cut blocks a positive
+    # d_i d_j, so a coherence-factor zero would no longer mark every death.
+    def with_populated_diagonal(rb, rc):
+        rho = ghz_rindler_density(rb, rc)
+        rho[5, 5] = 0.1
+        return rho / rho.trace().real
+
+    monkeypatch.setattr(analysis, "ghz_rindler_density", with_populated_diagonal)
+    with pytest.raises(RuntimeError, match="not an X-state"):
+        find_esd("phase_flip", 0.3)
+
+
+@pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
+@pytest.mark.parametrize("tangle", ["n_AB", "n_AC", "n_BC"])
+def test_find_esd_pair_tangles_are_dead_from_the_start(channel, tangle):
+    # The pair states of an X-state are diagonal: no two-tangle at any p.
+    for r in (0.0, math.pi / 4):
+        res = find_esd(channel, r, tangle=tangle)
+        assert res.p_star == 0.0
+        assert not res.no_esd
+        assert not res.rebound
+        assert res.rebound_onset is None
+
+
 def test_find_esd_identity_channel_never_dies():
     res = find_esd("phase_damping", 0.3, coupling="custom", weights=(0.0, 0.0, 0.0))
     assert res.no_esd

@@ -181,6 +181,27 @@ def test_sweep_custom_requires_weights(tmp_path, capsys):
     assert "custom coupling requires --weights" in err
 
 
+def test_sweep_weights_without_custom_coupling_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys,
+        "sweep",
+        "--channel",
+        "phase-flip",
+        "--coupling",
+        "collective",
+        "--weights",
+        "1,0.5,0",
+        "--r",
+        "0.5",
+        "--out",
+        str(out),
+    )
+    assert code == 1
+    assert "--weights applies only to --coupling custom" in err
+    assert not out.exists()
+
+
 def test_sweep_custom_weights_scale_parameters(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, _, _ = run_cli(
@@ -320,6 +341,15 @@ def test_esd_custom_requires_weights(capsys):
     code, _, err = run_cli(capsys, "esd", "--channel", "phase-flip", "--coupling", "custom", "--r", "0")
     assert code == 1
     assert "custom coupling requires --weights" in err
+
+
+def test_esd_weights_without_custom_coupling_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "esd", "--channel", "phase-flip", "--coupling", "local-alice", "--weights", "1,0.5,0", "--r", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--weights applies only to --coupling custom" in err
 
 
 def test_esd_custom_weights(capsys):
