@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, CouplingConfig, coherence_factors
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import TangleReport, full_report, full_reports
+from .tangles import TangleReport, _selected, full_reports
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -17,6 +17,9 @@ COUPLING_LABELS = ("collective", "local_alice", "custom")
 # A tangle back above this after a death marks a rebound.
 REBOUND_TOL = 1e-6
 BISECT_WIDTH = 1e-7
+# Bisection levels of the rebound onset evaluated per stack: every midpoint
+# the next levels can visit, at most 2**_LOOKAHEAD - 1 points.
+_LOOKAHEAD = 4
 
 CLOSED_FORM_TOL = 1e-9
 
@@ -138,13 +141,23 @@ def find_esd(
 
     A coarse pass over the default p grid brackets the first death,
     bisection narrows it to BISECT_WIDTH and p_star is the bracket's upper
-    end. A scan beyond p_star looks for a rebound of the tangle above
-    REBOUND_TOL. When the tangle never dies on the grid the result carries
-    p_star = 1 and the no_esd flag. RuntimeError if the state is not such
-    an X-state.
+    end. Both use the factors alone. The grid points beyond p_star are then
+    scanned for a rebound of the tangle above REBOUND_TOL, and bisection
+    narrows its onset; when p_star is the last grid point (every
+    phase-damping search) nothing is evaluated. Tangle values come from
+    ``tangles._selected``, which solves only the cuts the selector reads. The
+    onset bisection evaluates the midpoints of its next _LOOKAHEAD levels as
+    one stack and then walks them: the midpoints and decisions are those of
+    a one-point-at-a-time bisection, and a value does not depend on the
+    stack it was computed in, so neither does the onset. When the tangle
+    never dies on the grid the result carries p_star = 1 and the no_esd
+    flag. RuntimeError if the state is not such an X-state; ValueError for
+    weights other than (1, 1, 1) unless coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
+    if coupling != "custom" and tuple(weights) != (1.0, 1.0, 1.0):
+        raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
     _check_x_state(r)
     pair = tangle in _PAIR_SELECTORS
@@ -153,8 +166,8 @@ def find_esd(
         # Dead at f, or passed through a zero of some factor since f_lo.
         return pair or any(a * b <= 0.0 for a, b in zip(f_lo, f))
 
-    def value(p: float) -> float:
-        return getattr(full_report(r, spec.config_at(p)), tangle)
+    def values(ps) -> list[float]:
+        return _selected(r, [spec.config_at(p) for p in ps], tangle)
 
     grid = spec.p_grid()
     coeffs = [coherence_factors(spec.config_at(p)) for p in grid]
@@ -175,22 +188,32 @@ def find_esd(
                 lo = mid
         p_star = hi
 
-    reports = full_reports([r] * len(grid), [spec.config_at(p) for p in grid])
-    vals = [getattr(rep, tangle) for rep in reports]
-    rebound = False
-    onset = None
-    after = next((j for j in range(first, len(grid)) if grid[j] > p_star and vals[j] > REBOUND_TOL), None)
-    if after is not None:
-        rebound = True
-        lo, hi = max(grid[after - 1], p_star), grid[after]
-        while hi - lo > BISECT_WIDTH:
-            mid = (lo + hi) / 2.0
-            if value(mid) > REBOUND_TOL:
-                hi = mid
-            else:
-                lo = mid
-        onset = hi
-    return EsdResult(channel, coupling, r, tangle, p_star, False, rebound, onset)
+    beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
+    after = next((j for j, v in zip(beyond, values(grid[j] for j in beyond)) if v > REBOUND_TOL), None)
+    if after is None:
+        return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
+    lo, hi = max(grid[after - 1], p_star), grid[after]
+    # Decisions at the midpoints of the next _LOOKAHEAD levels, keyed by p;
+    # refilled as one stack whenever the walk leaves them.
+    above = {}
+    while hi - lo > BISECT_WIDTH:
+        mid = (lo + hi) / 2.0
+        if mid not in above:
+            ahead = _midpoints(lo, hi, _LOOKAHEAD)
+            above = {p: v > REBOUND_TOL for p, v in zip(ahead, values(ahead))}
+        if above[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return EsdResult(channel, coupling, r, tangle, p_star, False, True, hi)
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint the next ``levels`` steps of bisecting (lo, hi) can visit."""
+    if levels == 0 or not hi - lo > BISECT_WIDTH:
+        return []
+    mid = (lo + hi) / 2.0
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 # Known defects of the reference material, surfaced with every report.

@@ -39,6 +39,20 @@ CHUNK = 128
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
+# The cuts each tangle reads, as _cut indices, in the order _combine takes them.
+_SELECTOR_CUTS = {
+    "n_A_BC": (0,),
+    "n_B_AC": (1,),
+    "n_C_AB": (2,),
+    "n_AB": (3,),
+    "n_AC": (4,),
+    "n_BC": (5,),
+    "pi_A": (0, 3, 4),
+    "pi_B": (1, 3, 5),
+    "pi_C": (2, 4, 5),
+    "pi_tangle": tuple(range(6)),
+}
+
 
 def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     """sum(|w|) - 1 over the last axis, cross-checked against 2 * sum(|negative w|)."""
@@ -150,27 +164,59 @@ def full_reports(r_values, configs) -> list[TangleReport]:
         rs = r_values[start : start + CHUNK]
         cfgs = configs[start : start + CHUNK]
         rho = dephase_stack(cfgs, np.stack([states[r] for r in rs]))
-        columns = [
-            _negativity_from_spectra(hermitian_eigenvalues_stack(pt)) for pt in _transposes(rho)
-        ]
-        rows = _clamp(np.stack(columns, axis=1))
-        reports.extend(_report(r, cfg, *row) for r, cfg, row in zip(rs, cfgs, rows.tolist()))
+        rows = _negativities(rho, range(6))
+        reports.extend(_report(r, cfg, *row) for r, cfg, row in zip(rs, cfgs, rows))
     return reports
 
 
-def _transposes(rho):
-    # One at a time, so only one stack of embeddings is alive at once: the
-    # A|BC, B|AC and C|AB cuts, then the AB, AC and BC pair states.
-    for q in range(3):
-        yield partial_transpose_stack(rho, q, 3)
-    for pair in _PAIRS:
-        yield partial_transpose_stack(partial_trace_stack(rho, pair, 3), 0, 2)
+def _negativities(rho, cuts) -> list[list[float]]:
+    """Clamped negativities of the given cuts of a dephased stack, one row per point."""
+    # One cut at a time, so only one stack of embeddings is alive at once.
+    columns = [_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts]
+    return _clamp(np.stack(columns, axis=1)).tolist()
+
+
+def _cut(rho, k: int) -> np.ndarray:
+    """Partial transpose of cut k: the A|BC, B|AC and C|AB cuts (k = 0, 1,
+    2), then the AB, AC and BC pair states (k = 3, 4, 5)."""
+    if k < 3:
+        return partial_transpose_stack(rho, k, 3)
+    return partial_transpose_stack(partial_trace_stack(rho, _PAIRS[k - 3], 3), 0, 2)
+
+
+def _combine(row: list[float]) -> float:
+    # A one- or two-tangle's single cut, a residual's three, or the
+    # pi-tangle's six, combined as _report combines them.
+    if len(row) == 1:
+        return row[0]
+    if len(row) == 3:
+        return residual(*row)
+    return pi_tangle(*_residuals(*row))
+
+
+def _selected(r: float, configs, tangle: str) -> list[float]:
+    """``getattr(full_report(r, cfg), tangle)`` for every cfg, bit for bit.
+
+    Runs the stages of ``full_reports`` CHUNK points at a time, with every
+    check on each stack, but solves only the cuts the tangle reads: one for
+    a one- or two-tangle, three for a residual, six for the pi-tangle.
+    """
+    cuts = _SELECTOR_CUTS[tangle]
+    state = ghz_rindler_density(r, r)
+    values = []
+    for start in range(0, len(configs), CHUNK):
+        cfgs = configs[start : start + CHUNK]
+        rho = dephase_stack(cfgs, np.stack([state] * len(cfgs)))
+        values.extend(_combine(row) for row in _negativities(rho, cuts))
+    return values
+
+
+def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc) -> tuple[float, float, float]:
+    return residual(n_a, n_ab, n_ac), residual(n_b, n_ab, n_bc), residual(n_c, n_ac, n_bc)
 
 
 def _report(r, cfg, n_a, n_b, n_c, n_ab, n_ac, n_bc) -> TangleReport:
-    pi_a = residual(n_a, n_ab, n_ac)
-    pi_b = residual(n_b, n_ab, n_bc)
-    pi_c = residual(n_c, n_ac, n_bc)
+    pi_a, pi_b, pi_c = _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc)
     pi = pi_tangle(pi_a, pi_b, pi_c)
 
     if cfg.kind == PHASE_DAMPING:

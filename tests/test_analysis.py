@@ -183,6 +183,14 @@ def test_find_esd_pair_tangles_are_dead_from_the_start(channel, tangle):
         assert res.rebound_onset is None
 
 
+def test_find_esd_rejects_weights_without_custom_coupling():
+    for coupling in ("collective", "local_alice"):
+        with pytest.raises(ValueError, match="weights apply only to coupling 'custom'"):
+            find_esd("phase_flip", 0.3, coupling=coupling, weights=(0.0, 0.0, 0.0))
+    # The default weights stay valid with every coupling.
+    assert find_esd("phase_flip", 0.3, coupling="local_alice", weights=(1.0, 1.0, 1.0)).p_star == 0.5
+
+
 def test_find_esd_identity_channel_never_dies():
     res = find_esd("phase_damping", 0.3, coupling="custom", weights=(0.0, 0.0, 0.0))
     assert res.no_esd

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from ghztangle import linalg, tangles
+from ghztangle.analysis import TANGLE_SELECTORS
 from ghztangle.channels import CouplingConfig, apply_channel, lift
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
+    CHUNK,
     TangleReport,
     full_report,
+    full_reports,
     negativity,
     pi_tangle,
     residual,
@@ -262,3 +265,24 @@ def test_report_field_order_is_frozen():
         "dev_BC",
         "dev_pi",
     ]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("kind", ["phase_flip", "phase_damping"])
+@pytest.mark.parametrize("coupling", ["collective", "local_alice", "custom"])
+def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling):
+    ps = [i / 130 for i in range(131)] + [0.5 + s * 10.0**-k for k in range(2, 9) for s in (-1.0, 1.0)]
+    assert len(ps) > CHUNK  # crosses a chunk boundary
+    if coupling == "custom":
+        cfgs = [CouplingConfig(kind, p, 0.5 * p, 0.25 * p, label="custom") for p in ps]
+    else:
+        cfgs = [getattr(CouplingConfig, coupling)(kind, p) for p in ps]
+    for r in (0.0, math.pi / 8, math.pi / 4):
+        # full_reports equals full_report point by point (tests/test_golden.py).
+        reports = full_reports([r] * len(cfgs), cfgs)
+        for tangle in TANGLE_SELECTORS:
+            got = tangles._selected(r, cfgs, tangle)
+            assert _bits(got) == _bits(getattr(rep, tangle) for rep in reports), tangle
