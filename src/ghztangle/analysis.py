@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, CouplingConfig, coherence_factors
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import TangleReport, _selected, full_reports
+from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, full_reports, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -93,11 +93,20 @@ class SweepSpec:
         return CouplingConfig(self.channel, w0 * p, w1 * p, w2 * p, label="custom")
 
 
+def _grid_points(spec: SweepSpec) -> tuple[list[float], list[CouplingConfig]]:
+    """The (r, config) points of the grid, r-major, p ascending within each r."""
+    configs = [spec.config_at(p) for p in spec.p_grid()]
+    return [r for r in spec.r_values for _ in configs], configs * len(spec.r_values)
+
+
 def sweep(spec: SweepSpec) -> list[TangleReport]:
     """All reports on the grid, r-major, p ascending within each r."""
-    configs = [spec.config_at(p) for p in spec.p_grid()]
-    r_values = [r for r in spec.r_values for _ in configs]
-    return full_reports(r_values, configs * len(spec.r_values))
+    return full_reports(*_grid_points(spec))
+
+
+def sweep_chunks(spec: SweepSpec):
+    """The rows of ``sweep(spec)`` as ``tangles.report_chunks`` yields them."""
+    return report_chunks(*_grid_points(spec))
 
 
 @dataclass(frozen=True)
@@ -272,31 +281,40 @@ def verify(
     """
     checks = []
     for channel in CHANNEL_KINDS:
-        worst = {
-            "one_tangle_A": None,
-            "one_tangle_BC": None,
-            "pi_tangle": None,
-        }
-
-        def consider(quantity, dev, rep, numeric, closed):
-            cur = worst[quantity]
-            if cur is None or dev > cur.max_dev:
-                worst[quantity] = EquationCheck(
-                    channel, quantity, dev, rep.r, rep.p0, rep.coupling, numeric, closed
-                )
-
+        configs, chunks = [], []
         for coupling in ("collective", "local_alice"):
             spec = SweepSpec(channel, coupling, r_values=tuple(r_values), p_step=p_step)
-            for rep in sweep(spec):
-                consider("one_tangle_A", rep.dev_A, rep, rep.n_A_BC, rep.cf_n_A_BC)
-                dev_b = abs(rep.n_B_AC - rep.cf_n_BC_AC)
-                dev_c = abs(rep.n_C_AB - rep.cf_n_BC_AC)
-                if dev_c > dev_b:
-                    consider("one_tangle_BC", dev_c, rep, rep.n_C_AB, rep.cf_n_BC_AC)
-                else:
-                    consider("one_tangle_BC", dev_b, rep, rep.n_B_AC, rep.cf_n_BC_AC)
-                consider("pi_tangle", rep.dev_pi, rep, rep.pi_tangle, rep.cf_pi)
-        checks.extend(worst[q] for q in ("one_tangle_A", "one_tangle_BC", "pi_tangle"))
+            for cfgs, values in sweep_chunks(spec):
+                configs.extend(cfgs)
+                chunks.append(values)
+        col = dict(zip(NUMERIC_COLUMNS, np.concatenate(chunks).T))
+        dev_c = abs(col["n_C_AB"] - col["cf_n_BC_AC"])
+        c_worse = dev_c > col["dev_BC"]
+        candidates = (
+            ("one_tangle_A", col["dev_A"], col["n_A_BC"], col["cf_n_A_BC"]),
+            (
+                "one_tangle_BC",
+                np.where(c_worse, dev_c, col["dev_BC"]),
+                np.where(c_worse, col["n_C_AB"], col["n_B_AC"]),
+                col["cf_n_BC_AC"],
+            ),
+            ("pi_tangle", col["dev_pi"], col["pi_tangle"], col["cf_pi"]),
+        )
+        for quantity, dev, numeric, closed in candidates:
+            # The first worst row, as a scan that replaces only on a strictly larger gap.
+            i = int(np.argmax(dev))
+            checks.append(
+                EquationCheck(
+                    channel,
+                    quantity,
+                    float(dev[i]),
+                    float(col["r"][i]),
+                    float(col["p0"][i]),
+                    configs[i].label,
+                    float(numeric[i]),
+                    float(closed[i]),
+                )
+            )
     return VerificationReport(
         checks=tuple(checks),
         tolerance=CLOSED_FORM_TOL,

@@ -22,11 +22,11 @@ from .analysis import (
     SweepSpec,
     TANGLE_SELECTORS,
     find_esd,
-    sweep,
+    sweep_chunks,
     verify,
 )
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import TangleReport
+from .tangles import NUMERIC_COLUMNS, TangleReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,22 +48,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt17(x: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(float(x), ".17g")
-
-
 def _fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file and a rename, with the mode open() gives."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600 whatever the umask.
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -73,33 +73,56 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _report_cells(rep: TangleReport) -> list[str]:
-    cells = []
-    for name in COLUMNS:
-        value = getattr(rep, name)
-        cells.append(value if isinstance(value, str) else _fmt17(value))
-    return cells
+# A row is its two strings, already rendered, then the numbers. 17
+# significant digits round-trip any double exactly.
+_CSV_ROW = "%s," + ",".join(["%.17g"] * len(NUMERIC_COLUMNS)) + "\n"
+_JSON_ROW = "  {%s, " + ", ".join(f"{json.dumps(name)}: %.17g" for name in NUMERIC_COLUMNS) + "}"
 
 
-def write_reports_csv(path: str, reports: list[TangleReport]) -> None:
+def _csv_strings(channel: str, coupling: str) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for rep in reports:
-        writer.writerow(_report_cells(rep))
-    _atomic_write(path, buf.getvalue())
+    csv.writer(buf, lineterminator="").writerow((channel, coupling))
+    return buf.getvalue()
 
 
-def write_reports_json(path: str, reports: list[TangleReport]) -> None:
-    # Assembled by hand so numbers carry the same 17-digit text as the CSV.
+def _json_strings(channel: str, coupling: str) -> str:
+    pairs = zip(COLUMNS, (channel, coupling))
+    return ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in pairs)
+
+
+def _rows(chunks, row_format: str, render_strings) -> list[str]:
+    """One ``row_format % (strings, *values)`` per report row of ``chunks``.
+
+    ``chunks`` is what ``tangles.report_chunks`` yields; the strings of each
+    distinct (channel, coupling) pair are rendered once.
+    """
+    rendered = {}
     rows = []
-    for rep in reports:
-        parts = []
-        for name, cell in zip(COLUMNS, _report_cells(rep)):
-            rendered = json.dumps(cell) if isinstance(getattr(rep, name), str) else cell
-            parts.append(f"{json.dumps(name)}: {rendered}")
-        rows.append("  {" + ", ".join(parts) + "}")
+    for cfgs, values in chunks:
+        for cfg, row in zip(cfgs, values.tolist()):
+            key = (cfg.kind, cfg.label)
+            strings = rendered.get(key)
+            if strings is None:
+                strings = rendered[key] = render_strings(*key)
+            rows.append(row_format % (strings, *row))
+    return rows
+
+
+def write_reports_csv(path: str, chunks) -> int:
+    """Write report rows, as ``analysis.sweep_chunks`` yields them, as CSV.
+
+    Returns the number of rows written.
+    """
+    rows = _rows(chunks, _CSV_ROW, _csv_strings)
+    _atomic_write(path, ",".join(COLUMNS) + "\n" + "".join(rows))
+    return len(rows)
+
+
+def write_reports_json(path: str, chunks) -> int:
+    """The same rows as ``write_reports_csv``, as a JSON list of objects."""
+    rows = _rows(chunks, _JSON_ROW, _json_strings)
     _atomic_write(path, "[\n" + ",\n".join(rows) + "\n]\n")
+    return len(rows)
 
 
 def _parse_r_list(text: str) -> tuple[float, ...]:
@@ -174,12 +197,9 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     spec = _sweep_spec_from_args(args)
-    reports = sweep(spec)
-    if args.format == "json":
-        write_reports_json(args.out, reports)
-    else:
-        write_reports_csv(args.out, reports)
-    print(f"wrote {len(reports)} rows to {args.out}")
+    write = write_reports_json if args.format == "json" else write_reports_csv
+    count = write(args.out, sweep_chunks(spec))
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
@@ -256,7 +276,7 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for name, spec in jobs:
         path = os.path.join(args.out_dir, name)
-        write_reports_csv(path, sweep(spec))
+        write_reports_csv(path, sweep_chunks(spec))
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -5,21 +5,23 @@ negativities of the two-qubit reduced states, and the residual combines
 them in the monogamy form N_one^2 - N_pair^2 - N_pair^2. The pi-tangle is
 the average of the three residuals.
 
-``full_reports`` evaluates many (r, coupling) points at once: it stacks
-CHUNK points at a time through every stage, so the per-point cost is array
-arithmetic rather than Python calls. Each stage does exactly the
-arithmetic of its single-matrix counterpart, so a report does not depend
-on the batch it was computed in.
+``report_chunks`` evaluates many (r, coupling) points at once: it stacks
+CHUNK points at a time through every stage and yields each stack's report
+rows as one float array, so the per-point cost is array arithmetic rather
+than Python calls. Each stage does exactly the arithmetic of its
+single-matrix counterpart, so a report does not depend on the batch it was
+computed in. ``full_reports`` builds ``TangleReport`` objects from those
+rows; the CLI writers format the arrays directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import closedform
-from .channels import PHASE_DAMPING, CouplingConfig, dephase_stack
+from .channels import PHASE_DAMPING, PHASE_FLIP, CouplingConfig, dephase_stack
 from .linalg import (
     _checked_keep,
     _eigenvalues,
@@ -87,7 +89,7 @@ def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float
 
 
 def residual(n_one: float, n_pair_x: float, n_pair_y: float) -> float:
-    """Monogamy residual; reported unclamped."""
+    """Monogamy residual; reported unclamped. Element-wise on arrays."""
     return n_one * n_one - n_pair_x * n_pair_x - n_pair_y * n_pair_y
 
 
@@ -141,39 +143,90 @@ class TangleReport:
     dev_pi: float
 
 
+# The report fields after channel and coupling: the columns of report_chunks.
+NUMERIC_COLUMNS = tuple(f.name for f in fields(TangleReport))[2:]
+
+# cf_n_A_BC, cf_n_BC_AC and cf_pi of each channel, as closedform names.
+_CLOSED_FORMS = {
+    PHASE_DAMPING: ("pd_one_tangle_A", "pd_one_tangle_BC", "pd_pi_tangle"),
+    PHASE_FLIP: ("pf_one_tangle_A", "pf_one_tangle_BC", "pf_pi_tangle"),
+}
+
+
 def full_report(r: float, cfg: CouplingConfig) -> TangleReport:
     """Run the whole pipeline at one point: state, channel, all tangles."""
     return full_reports([r], [cfg])[0]
 
 
 def full_reports(r_values, configs) -> list[TangleReport]:
-    """``full_report(r_values[i], configs[i])`` for every i, in order.
+    """``full_report(r_values[i], configs[i])`` for every i, in order."""
+    return [
+        TangleReport(cfg.kind, cfg.label, *row)
+        for cfgs, values in report_chunks(r_values, configs)
+        for cfg, row in zip(cfgs, values.tolist())
+    ]
 
-    Points are processed CHUNK at a time; every check of the single-point
-    route (Kraus completeness, hermiticity, eigensolver convergence and
-    pairing, the negativity cross-check and the clamp floor) runs on each
-    whole stack.
+
+def report_chunks(r_values, configs):
+    """The rows of ``full_reports(r_values, configs)`` as arrays, CHUNK at a time.
+
+    Yields ``(cfgs, values)`` per stack: ``cfgs`` is the stack's slice of
+    ``configs``, which carries each row's channel and coupling, and
+    ``values`` a ``(len(cfgs), 20)`` float array whose columns are
+    NUMERIC_COLUMNS. Every check of the single-point route (Kraus
+    completeness, hermiticity, eigensolver convergence and pairing, the
+    negativity cross-check and the clamp floor) runs on each whole stack.
+    The residuals, pi-tangle and deviations are array arithmetic in the
+    order of their scalar forms, and each closed form is called once per
+    (channel, r) group of the whole input, so a value does not depend on
+    the stack or group it was computed in.
     """
     r_values = list(r_values)
     configs = list(configs)
     if len(r_values) != len(configs):
         raise ValueError("r_values and configs differ in length")
     states = {r: ghz_rindler_density(r, r) for r in dict.fromkeys(r_values)}
-    reports = []
+    params = np.array([cfg.params for cfg in configs], dtype=float).reshape(-1, 3)
+    r_column = np.array(r_values, dtype=float)
+    closed = _closed_forms(r_values, configs, params)
     for start in range(0, len(configs), CHUNK):
-        rs = r_values[start : start + CHUNK]
-        cfgs = configs[start : start + CHUNK]
-        rho = dephase_stack(cfgs, np.stack([states[r] for r in rs]))
-        rows = _negativities(rho, range(6))
-        reports.extend(_report(r, cfg, *row) for r, cfg, row in zip(rs, cfgs, rows))
-    return reports
+        stop = start + CHUNK
+        cfgs = configs[start:stop]
+        rho = dephase_stack(cfgs, np.stack([states[r] for r in r_values[start:stop]]))
+        n = _negativities(rho, range(6))
+        pi_a, pi_b, pi_c = _residuals(*n)
+        pi = pi_tangle(pi_a, pi_b, pi_c)
+        cf_a, cf_bc, cf_pi = closed[:, start:stop]
+        columns = (
+            *params[start:stop].T, r_column[start:stop],
+            *n, pi_a, pi_b, pi_c, pi,
+            cf_a, cf_bc, cf_pi, abs(n[0] - cf_a), abs(n[1] - cf_bc), abs(pi - cf_pi),
+        )  # fmt: skip
+        yield cfgs, np.stack(columns, axis=1)
 
 
-def _negativities(rho, cuts) -> list[list[float]]:
-    """Clamped negativities of the given cuts of a dephased stack, one row per point."""
+def _closed_forms(r_values, configs, params) -> np.ndarray:
+    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns, one row each.
+
+    Each closed form is called through the ``closedform`` module once per
+    (channel, r) group, with the group's parameters as arrays.
+    """
+    groups = {}
+    for i, (r, cfg) in enumerate(zip(r_values, configs)):
+        groups.setdefault((cfg.kind, r), []).append(i)
+    out = np.empty((3, len(configs)))
+    for (kind, r), rows in groups.items():
+        p0, p1, p2 = params[rows].T
+        for column, name in zip(out, _CLOSED_FORMS[kind]):
+            column[rows] = getattr(closedform, name)(r, p0, p1, p2)
+    return out
+
+
+def _negativities(rho, cuts) -> np.ndarray:
+    """Clamped negativities of the given cuts of a dephased stack, one row per cut."""
     # One cut at a time, so only one stack of embeddings is alive at once.
-    columns = [_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts]
-    return _clamp(np.stack(columns, axis=1)).tolist()
+    rows = [_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts]
+    return _clamp(np.stack(rows))
 
 
 def _cut(rho, k: int) -> np.ndarray:
@@ -184,20 +237,20 @@ def _cut(rho, k: int) -> np.ndarray:
     return partial_transpose_stack(partial_trace_stack(rho, _PAIRS[k - 3], 3), 0, 2)
 
 
-def _combine(row: list[float]) -> float:
+def _combine(n: np.ndarray) -> np.ndarray:
     # A one- or two-tangle's single cut, a residual's three, or the
-    # pi-tangle's six, combined as _report combines them.
-    if len(row) == 1:
-        return row[0]
-    if len(row) == 3:
-        return residual(*row)
-    return pi_tangle(*_residuals(*row))
+    # pi-tangle's six, combined as report_chunks combines them.
+    if len(n) == 1:
+        return n[0]
+    if len(n) == 3:
+        return residual(*n)
+    return pi_tangle(*_residuals(*n))
 
 
 def _selected(r: float, configs, tangle: str) -> list[float]:
     """``getattr(full_report(r, cfg), tangle)`` for every cfg, bit for bit.
 
-    Runs the stages of ``full_reports`` CHUNK points at a time, with every
+    Runs the stages of ``report_chunks`` CHUNK points at a time, with every
     check on each stack, but solves only the cuts the tangle reads: one for
     a one- or two-tangle, three for a residual, six for the pi-tangle.
     """
@@ -207,48 +260,9 @@ def _selected(r: float, configs, tangle: str) -> list[float]:
     for start in range(0, len(configs), CHUNK):
         cfgs = configs[start : start + CHUNK]
         rho = dephase_stack(cfgs, np.stack([state] * len(cfgs)))
-        values.extend(_combine(row) for row in _negativities(rho, cuts))
+        values.extend(_combine(_negativities(rho, cuts)).tolist())
     return values
 
 
-def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc) -> tuple[float, float, float]:
+def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc):
     return residual(n_a, n_ab, n_ac), residual(n_b, n_ab, n_bc), residual(n_c, n_ac, n_bc)
-
-
-def _report(r, cfg, n_a, n_b, n_c, n_ab, n_ac, n_bc) -> TangleReport:
-    pi_a, pi_b, pi_c = _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc)
-    pi = pi_tangle(pi_a, pi_b, pi_c)
-
-    if cfg.kind == PHASE_DAMPING:
-        cf_a = closedform.pd_one_tangle_A(r, *cfg.params)
-        cf_bc = closedform.pd_one_tangle_BC(r, *cfg.params)
-        cf_pi = closedform.pd_pi_tangle(r, *cfg.params)
-    else:
-        cf_a = closedform.pf_one_tangle_A(r, *cfg.params)
-        cf_bc = closedform.pf_one_tangle_BC(r, *cfg.params)
-        cf_pi = closedform.pf_pi_tangle(r, *cfg.params)
-
-    return TangleReport(
-        channel=cfg.kind,
-        coupling=cfg.label,
-        p0=cfg.p0,
-        p1=cfg.p1,
-        p2=cfg.p2,
-        r=r,
-        n_A_BC=n_a,
-        n_B_AC=n_b,
-        n_C_AB=n_c,
-        n_AB=n_ab,
-        n_AC=n_ac,
-        n_BC=n_bc,
-        pi_A=pi_a,
-        pi_B=pi_b,
-        pi_C=pi_c,
-        pi_tangle=pi,
-        cf_n_A_BC=cf_a,
-        cf_n_BC_AC=cf_bc,
-        cf_pi=cf_pi,
-        dev_A=abs(n_a - cf_a),
-        dev_BC=abs(n_b - cf_bc),
-        dev_pi=abs(pi - cf_pi),
-    )

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -392,6 +393,21 @@ def test_figure_writes_named_files(tmp_path, capsys):
         assert rows[0] == list(COLUMNS)
         assert len(rows) == 1 + 4 * 101
     assert out.count("wrote") == 2
+
+
+def test_output_files_get_the_umask_mode(tmp_path, capsys):
+    # Like a file open() creates: 0666 less the umask, not mkstemp's 0600.
+    out = tmp_path / "m.csv"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, "sweep", "--channel", "phase-flip", "--r", "0", "--p-step", "0.5", "--out", str(out))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "figure", "1", "--out-dir", str(tmp_path / "fig"))
+        assert code == 0
+    finally:
+        os.umask(old)
+    paths = [out, *sorted((tmp_path / "fig").iterdir())]
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [0o644] * 3
 
 
 def test_figure_unknown_number(tmp_path, capsys):

@@ -1,0 +1,127 @@
+"""Bit identity of the columnar report path.
+
+``tangles.report_chunks`` computes a stack's report rows as arrays and
+calls each closed form once per (channel, r) group with parameter arrays;
+the CLI writers format a whole row with one ``%`` call. These tests hold
+each piece to its scalar counterpart, compared by ``float.hex`` so that
+-0.0 and the last bit count.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghztangle import cli, closedform
+from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, CouplingConfig
+from ghztangle.tangles import CHUNK, NUMERIC_COLUMNS, full_report, pi_tangle, report_chunks, residual
+
+FUNCS = (
+    closedform.pd_one_tangle_A,
+    closedform.pd_one_tangle_BC,
+    closedform.pd_pi_tangle,
+    closedform.pf_one_tangle_A,
+    closedform.pf_one_tangle_BC,
+    closedform.pf_pi_tangle,
+)
+
+EDGE_P = (0.0, 1.0, 0.5, *(0.5 + s * 10.0**-k for k in range(1, 17) for s in (-1.0, 1.0)))
+p_values = st.one_of(st.sampled_from(EDGE_P), st.floats(min_value=0.0, max_value=1.0))
+r_values = st.one_of(
+    st.sampled_from((0.0, math.pi / 8, math.pi / 4)), st.floats(min_value=0.0, max_value=math.pi / 4)
+)
+
+COUPLINGS = ("collective", "local_alice", "custom")
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _config(kind, coupling, p):
+    if coupling == "custom":
+        return CouplingConfig(kind, p, 0.5 * p, 0.25 * p, label="custom")
+    return getattr(CouplingConfig, coupling)(kind, p)
+
+
+def _rows(r_list, configs):
+    return [
+        (cfg.kind, cfg.label, *row)
+        for cfgs, values in report_chunks(r_list, configs)
+        for cfg, row in zip(cfgs, values.tolist())
+    ]
+
+
+def _scalar_tail(r, cfg, n):
+    # The residuals, pi-tangle, closed forms and deviations of one row, on
+    # Python floats, from its six negativities.
+    n_a, n_b, n_c, n_ab, n_ac, n_bc = n
+    res = (residual(n_a, n_ab, n_ac), residual(n_b, n_ab, n_bc), residual(n_c, n_ac, n_bc))
+    pi = pi_tangle(*res)
+    prefix = "pd" if cfg.kind == PHASE_DAMPING else "pf"
+    names = ("one_tangle_A", "one_tangle_BC", "pi_tangle")
+    cf = [getattr(closedform, f"{prefix}_{name}")(r, *cfg.params) for name in names]
+    return (*res, pi, *cf, abs(n_a - cf[0]), abs(n_b - cf[1]), abs(pi - cf[2]))
+
+
+def _assert_rows_match(r_list, configs):
+    rows = _rows(r_list, configs)
+    assert len(rows) == len(configs)
+    for row, r, cfg in zip(rows, r_list, configs):
+        want = dataclasses.astuple(full_report(r, cfg))
+        assert row[:2] == want[:2]
+        assert _bits(row[2:]) == _bits(want[2:])
+        assert _bits(row[12:]) == _bits(_scalar_tail(r, cfg, row[6:12]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(r=r_values, ps=st.lists(st.tuples(p_values, p_values, p_values), min_size=1, max_size=12))
+def test_closed_forms_on_arrays_equal_scalar_calls(r, ps):
+    p0, p1, p2 = (np.array(column) for column in zip(*ps))
+    for f in FUNCS:
+        got = f(r, p0, p1, p2)
+        assert isinstance(got, np.ndarray) and got.shape == p0.shape
+        assert _bits(got) == _bits(f(r, *p) for p in ps), f.__name__
+
+
+def test_closed_forms_on_floats_return_floats():
+    for f in FUNCS:
+        assert type(f(0.3, 0.1, 0.2, 0.5)) is float
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(
+        st.tuples(st.sampled_from(CHANNEL_KINDS), st.sampled_from(COUPLINGS), r_values, p_values),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_columnar_rows_equal_full_report(points):
+    _assert_rows_match([r for _, _, r, _ in points], [_config(kind, coupling, p) for kind, coupling, _, p in points])
+
+
+def test_columnar_rows_equal_full_report_across_a_chunk_boundary():
+    # Mixed channels, couplings and r values, longer than one stack.
+    r_list, configs = [], []
+    for i in range(2 * CHUNK + 3):
+        kind = CHANNEL_KINDS[i % 2]
+        coupling = COUPLINGS[i % 3]
+        r = (0.0, math.pi / 8, math.pi / 4)[(i // 5) % 3]
+        p = EDGE_P[i % len(EDGE_P)] if i % 4 else i / (2 * CHUNK + 3)
+        r_list.append(r)
+        configs.append(_config(kind, coupling, p))
+    _assert_rows_match(r_list, configs)
+
+
+def test_row_format_equals_format_17g():
+    cells = (-0.0, 5e-324, 1e-16, 0.1, 1.0, 1e300)
+    values = [cells[i % len(cells)] for i in range(len(NUMERIC_COLUMNS))]
+    text = [format(x, ".17g") for x in values]
+    assert cli._CSV_ROW % ("phase_flip,custom", *values) == "phase_flip,custom," + ",".join(text) + "\n"
+    json_cells = ", ".join(f'"{name}": {cell}' for name, cell in zip(NUMERIC_COLUMNS, text))
+    assert cli._JSON_ROW % ('"channel": "phase_flip", "coupling": "custom"', *values) == (
+        '  {"channel": "phase_flip", "coupling": "custom", ' + json_cells + "}"
+    )
