@@ -7,12 +7,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, CouplingConfig, coherence_factors
+from .channels import CHANNEL_KINDS, CouplingConfig, _coherence_factors
 from .rindler import check_accel_param, ghz_rindler_density
 from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, full_reports, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
+# Per-qubit weights of the swept p; a "custom" coupling takes the spec's.
+_COUPLING_WEIGHTS = {"collective": (1.0, 1.0, 1.0), "local_alice": (1.0, 0.0, 0.0)}
 
 # A tangle back above this after a death marks a rebound.
 REBOUND_TOL = 1e-6
@@ -85,12 +87,13 @@ class SweepSpec:
         return grid
 
     def config_at(self, p: float) -> CouplingConfig:
-        if self.coupling == "collective":
-            return CouplingConfig.collective(self.channel, p)
-        if self.coupling == "local_alice":
-            return CouplingConfig.local_alice(self.channel, p)
-        w0, w1, w2 = self.weights
-        return CouplingConfig(self.channel, w0 * p, w1 * p, w2 * p, label="custom")
+        w0, w1, w2 = _COUPLING_WEIGHTS.get(self.coupling, self.weights)
+        return CouplingConfig(self.channel, w0 * p, w1 * p, w2 * p, label=self.coupling)
+
+    def _params(self, ps) -> np.ndarray:
+        """``config_at(p).params`` for every p >= 0, bit for bit, as an (N, 3) array; unchecked."""
+        weights = _COUPLING_WEIGHTS.get(self.coupling, self.weights)
+        return np.multiply.outer(np.asarray(ps, dtype=float), weights)
 
 
 def _grid_points(spec: SweepSpec) -> tuple[list[float], list[CouplingConfig]]:
@@ -148,20 +151,16 @@ def find_esd(
     always are (p_star = 0). A factor that changes sign between two p
     values passed through zero there.
 
-    A coarse pass over the default p grid brackets the first death,
-    bisection narrows it to BISECT_WIDTH and p_star is the bracket's upper
-    end. Both use the factors alone. The grid points beyond p_star are then
-    scanned for a rebound of the tangle above REBOUND_TOL, and bisection
-    narrows its onset; when p_star is the last grid point (every
-    phase-damping search) nothing is evaluated. Tangle values come from
-    ``tangles._selected``, which solves only the cuts the selector reads. The
-    onset bisection evaluates the midpoints of its next _LOOKAHEAD levels as
-    one stack and then walks them: the midpoints and decisions are those of
-    a one-point-at-a-time bisection, and a value does not depend on the
-    stack it was computed in, so neither does the onset. When the tangle
-    never dies on the grid the result carries p_star = 1 and the no_esd
-    flag. RuntimeError if the state is not such an X-state; ValueError for
-    weights other than (1, 1, 1) unless coupling is "custom".
+    The death and then the rebound onset are each found by scanning the
+    default p grid for the first point past it and narrowing the bracket
+    below that point with ``_bisect``. Death uses the factors alone, as
+    arrays. A rebound of the tangle above REBOUND_TOL is looked for only
+    beyond p_star, so a phase-damping search evaluates nothing; values come
+    from ``tangles._selected``, which solves only the cuts the selector
+    reads. When the tangle never dies on the grid the result carries
+    p_star = 1 and the no_esd flag. RuntimeError if the state is not such
+    an X-state; ValueError for weights other than (1, 1, 1) unless
+    coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
@@ -169,52 +168,56 @@ def find_esd(
         raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
     _check_x_state(r)
-    pair = tangle in _PAIR_SELECTORS
 
-    def died(f_lo, f) -> bool:
-        # Dead at f, or passed through a zero of some factor since f_lo.
-        return pair or any(a * b <= 0.0 for a, b in zip(f_lo, f))
-
-    def values(ps) -> list[float]:
-        return _selected(r, [spec.config_at(p) for p in ps], tangle)
+    def factors(ps) -> np.ndarray:
+        return _coherence_factors(channel, spec._params(ps))
 
     grid = spec.p_grid()
-    coeffs = [coherence_factors(spec.config_at(p)) for p in grid]
-    # The first grid point has nothing to cross from, so it is compared with itself.
-    first = next((i for i, f in enumerate(coeffs) if died(coeffs[i - 1] if i else f, f)), None)
-    if first is None:
+    f = factors(grid)
+    # Dead at a point, or passed through a zero of some factor since the
+    # previous one (the first point, with nothing to cross from, is
+    # compared with itself); the two-tangles are dead from p = 0.
+    dead = (f * np.concatenate([f[:1], f[:-1]]) <= 0.0).any(axis=1) | (tangle in _PAIR_SELECTORS)
+    if not dead.any():
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
+    first = int(dead.argmax())
 
-    if first == 0:
-        p_star = grid[0]
-    else:
-        lo, hi = grid[first - 1], grid[first]
-        while hi - lo > BISECT_WIDTH:
-            mid = (lo + hi) / 2.0
-            if died(coeffs[first - 1], coherence_factors(spec.config_at(mid))):
-                hi = mid
-            else:
-                lo = mid
-        p_star = hi
+    def died(ps) -> list[bool]:
+        return (factors(ps) * f[first - 1] <= 0.0).any(axis=1).tolist()
+
+    p_star = grid[0] if first == 0 else _bisect(grid[first - 1], grid[first], died)
+
+    def above(ps) -> list[bool]:
+        return [v > REBOUND_TOL for v in _selected(r, [spec.config_at(p) for p in ps], tangle)]
 
     beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
-    after = next((j for j, v in zip(beyond, values(grid[j] for j in beyond)) if v > REBOUND_TOL), None)
+    after = next((j for j, up in zip(beyond, above([grid[j] for j in beyond])) if up), None)
     if after is None:
         return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
-    lo, hi = max(grid[after - 1], p_star), grid[after]
-    # Decisions at the midpoints of the next _LOOKAHEAD levels, keyed by p;
-    # refilled as one stack whenever the walk leaves them.
-    above = {}
+    onset = _bisect(max(grid[after - 1], p_star), grid[after], above)
+    return EsdResult(channel, coupling, r, tangle, p_star, False, True, onset)
+
+
+def _bisect(lo: float, hi: float, decide) -> float:
+    """Bisect (lo, hi] down to BISECT_WIDTH and return its upper end.
+
+    ``decide(ps)`` says for each p whether the sought point lies at or
+    below it. The midpoints of the next _LOOKAHEAD levels are decided in
+    one call and then walked: the midpoints and decisions are those of a
+    one-point-at-a-time bisection, and since a decision does not depend on
+    the other points of its call, neither does the result.
+    """
+    known = {}
     while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2.0
-        if mid not in above:
+        if mid not in known:
             ahead = _midpoints(lo, hi, _LOOKAHEAD)
-            above = {p: v > REBOUND_TOL for p, v in zip(ahead, values(ahead))}
-        if above[mid]:
+            known = dict(zip(ahead, decide(ahead)))
+        if known[mid]:
             hi = mid
         else:
             lo = mid
-    return EsdResult(channel, coupling, r, tangle, p_star, False, True, hi)
+    return hi
 
 
 def _midpoints(lo: float, hi: float, levels: int) -> list[float]:

@@ -13,7 +13,6 @@ products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +109,14 @@ def coherence_factors(cfg: CouplingConfig) -> tuple[float, float, float]:
     differ: 1 - 2p for phase flip, sqrt(1 - p) for phase damping. A phase
     flip factor is signed; it passes through zero at p = 1/2.
     """
-    if cfg.kind == PHASE_FLIP:
-        return tuple(1.0 - 2.0 * p for p in cfg.params)
-    return tuple(math.sqrt(1.0 - p) for p in cfg.params)
+    return tuple(_coherence_factors(cfg.kind, np.array(cfg.params, dtype=float)).tolist())
+
+
+def _coherence_factors(kind: str, params: np.ndarray) -> np.ndarray:
+    """``coherence_factors`` element-wise on an array of parameters, unchecked."""
+    if kind == PHASE_FLIP:
+        return 1.0 - 2.0 * params
+    return np.sqrt(1.0 - params)
 
 
 def lift(cfg: CouplingConfig) -> tuple[np.ndarray, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -90,37 +91,21 @@ def _json_strings(channel: str, coupling: str) -> str:
     return ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in pairs)
 
 
-def _rows(chunks, row_format: str, render_strings) -> list[str]:
-    """One ``row_format % (strings, *values)`` per report row of ``chunks``.
+def write_reports_csv(path: str, spec: SweepSpec) -> int:
+    """Write the report rows of ``spec``'s grid as CSV; returns how many.
 
-    ``chunks`` is what ``tangles.report_chunks`` yields; the strings of each
-    distinct (channel, coupling) pair are rendered once.
+    Every row shares the spec's channel and coupling strings, rendered once.
     """
-    rendered = {}
-    rows = []
-    for cfgs, values in chunks:
-        for cfg, row in zip(cfgs, values.tolist()):
-            key = (cfg.kind, cfg.label)
-            strings = rendered.get(key)
-            if strings is None:
-                strings = rendered[key] = render_strings(*key)
-            rows.append(row_format % (strings, *row))
-    return rows
-
-
-def write_reports_csv(path: str, chunks) -> int:
-    """Write report rows, as ``analysis.sweep_chunks`` yields them, as CSV.
-
-    Returns the number of rows written.
-    """
-    rows = _rows(chunks, _CSV_ROW, _csv_strings)
+    strings = _csv_strings(spec.channel, spec.coupling)
+    rows = [_CSV_ROW % (strings, *row) for _, values in sweep_chunks(spec) for row in values.tolist()]
     _atomic_write(path, ",".join(COLUMNS) + "\n" + "".join(rows))
     return len(rows)
 
 
-def write_reports_json(path: str, chunks) -> int:
+def write_reports_json(path: str, spec: SweepSpec) -> int:
     """The same rows as ``write_reports_csv``, as a JSON list of objects."""
-    rows = _rows(chunks, _JSON_ROW, _json_strings)
+    strings = _json_strings(spec.channel, spec.coupling)
+    rows = [_JSON_ROW % (strings, *row) for _, values in sweep_chunks(spec) for row in values.tolist()]
     _atomic_write(path, "[\n" + ",\n".join(rows) + "\n]\n")
     return len(rows)
 
@@ -198,7 +183,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 def cmd_sweep(args) -> int:
     spec = _sweep_spec_from_args(args)
     write = write_reports_json if args.format == "json" else write_reports_csv
-    count = write(args.out, sweep_chunks(spec))
+    count = write(args.out, spec)
     print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
@@ -276,7 +261,7 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for name, spec in jobs:
         path = os.path.join(args.out_dir, name)
-        write_reports_csv(path, sweep_chunks(spec))
+        write_reports_csv(path, spec)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -284,7 +269,9 @@ def cmd_figure(args) -> int:
 _DEFAULT_R_TEXT = ",".join(repr(r) for r in DEFAULT_R_VALUES)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="ghztangle", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

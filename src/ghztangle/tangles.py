@@ -185,15 +185,11 @@ def report_chunks(r_values, configs):
     configs = list(configs)
     if len(r_values) != len(configs):
         raise ValueError("r_values and configs differ in length")
-    states = {r: ghz_rindler_density(r, r) for r in dict.fromkeys(r_values)}
     params = np.array([cfg.params for cfg in configs], dtype=float).reshape(-1, 3)
     r_column = np.array(r_values, dtype=float)
     closed = _closed_forms(r_values, configs, params)
-    for start in range(0, len(configs), CHUNK):
+    for start, n in _stacks(r_values, configs, range(6)):
         stop = start + CHUNK
-        cfgs = configs[start:stop]
-        rho = dephase_stack(cfgs, np.stack([states[r] for r in r_values[start:stop]]))
-        n = _negativities(rho, range(6))
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
         cf_a, cf_bc, cf_pi = closed[:, start:stop]
@@ -202,7 +198,17 @@ def report_chunks(r_values, configs):
             *n, pi_a, pi_b, pi_c, pi,
             cf_a, cf_bc, cf_pi, abs(n[0] - cf_a), abs(n[1] - cf_bc), abs(pi - cf_pi),
         )  # fmt: skip
-        yield cfgs, np.stack(columns, axis=1)
+        yield configs[start:stop], np.stack(columns, axis=1)
+
+
+def _stacks(r_values: list, configs: list, cuts):
+    """``(start, _negativities(rho, cuts))`` for each dephased stack ``rho``
+    of CHUNK points from ``start``; one state per distinct r, none if empty."""
+    states = {r: ghz_rindler_density(r, r) for r in dict.fromkeys(r_values)}
+    for start in range(0, len(configs), CHUNK):
+        stop = start + CHUNK
+        rho = dephase_stack(configs[start:stop], np.stack([states[r] for r in r_values[start:stop]]))
+        yield start, _negativities(rho, cuts)
 
 
 def _closed_forms(r_values, configs, params) -> np.ndarray:
@@ -250,18 +256,12 @@ def _combine(n: np.ndarray) -> np.ndarray:
 def _selected(r: float, configs, tangle: str) -> list[float]:
     """``getattr(full_report(r, cfg), tangle)`` for every cfg, bit for bit.
 
-    Runs the stages of ``report_chunks`` CHUNK points at a time, with every
-    check on each stack, but solves only the cuts the tangle reads: one for
-    a one- or two-tangle, three for a residual, six for the pi-tangle.
+    Runs the stacks of ``report_chunks``, with every check on each, but
+    solves only the cuts the tangle reads: one for a one- or two-tangle,
+    three for a residual, six for the pi-tangle.
     """
-    cuts = _SELECTOR_CUTS[tangle]
-    state = ghz_rindler_density(r, r)
-    values = []
-    for start in range(0, len(configs), CHUNK):
-        cfgs = configs[start : start + CHUNK]
-        rho = dephase_stack(cfgs, np.stack([state] * len(cfgs)))
-        values.extend(_combine(_negativities(rho, cuts)).tolist())
-    return values
+    stacks = _stacks([r] * len(configs), configs, _SELECTOR_CUTS[tangle])
+    return [v for _, n in stacks for v in _combine(n).tolist()]
 
 
 def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc):

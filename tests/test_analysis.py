@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghztangle import analysis
 from ghztangle.analysis import (
@@ -15,6 +17,7 @@ from ghztangle.analysis import (
     sweep,
     verify,
 )
+from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors, coherence_factors
 from ghztangle.rindler import ghz_rindler_density
 
 
@@ -272,3 +275,52 @@ def test_sweep_spec_caps_grid_size_without_building_it():
             SweepSpec("phase_flip", r_values=(0.0,), p_step=step)
     with pytest.raises(ValueError, match="p step must be positive"):
         SweepSpec("phase_flip", p_step=math.nan)
+
+
+EDGE_P = (0.0, 1.0, 0.5, *(0.5 + s * 10.0**-k for k in range(1, 17) for s in (-1.0, 1.0)))
+WEIGHTS = st.one_of(
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * 3),
+)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(CHANNEL_KINDS),
+    coupling=st.sampled_from(analysis.COUPLING_LABELS),
+    weights=WEIGHTS,
+    ps=st.lists(st.one_of(st.sampled_from(EDGE_P), st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=12),
+)
+def test_array_params_and_factors_equal_the_per_point_forms(kind, coupling, weights, ps):
+    spec = SweepSpec(kind, coupling, weights=weights if coupling == "custom" else (1.0, 1.0, 1.0))
+    params = spec._params(ps)
+    factors = _coherence_factors(kind, params)
+    assert params.shape == factors.shape == (len(ps), 3)
+    for p, row, f in zip(ps, params.tolist(), factors.tolist()):
+        cfg = spec.config_at(p)
+        assert _bits(row) == _bits(cfg.params)
+        assert _bits(f) == _bits(coherence_factors(cfg))
+        # The scalar rule on Python floats.
+        scalar = [1.0 - 2.0 * q if kind == PHASE_FLIP else math.sqrt(1.0 - q) for q in cfg.params]
+        assert _bits(f) == _bits(scalar)
+
+
+def test_find_esd_builds_no_coupling_config_without_a_rebound_scan(monkeypatch):
+    built = []
+    check = CouplingConfig.__post_init__
+
+    def counted(cfg):
+        built.append(cfg)
+        check(cfg)
+
+    monkeypatch.setattr(CouplingConfig, "__post_init__", counted)
+    # Phase damping dies on the last grid point: nothing beyond it to scan.
+    find_esd("phase_damping", math.pi / 4)
+    assert built == []
+    # Phase flip dies at p = 1/2 and scans the points beyond it.
+    find_esd("phase_flip", math.pi / 4)
+    assert built

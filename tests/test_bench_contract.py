@@ -1,9 +1,12 @@
-"""The names the benchmark tracer in perfbench/ wraps must exist.
+"""The names the benchmark tracer in perfbench/ wraps must exist, and the
+benchmark's own requests must pass their checks.
 
 ``perfbench/tracer.py`` wraps each layer function by module and name and
 reads the output path of ``cli.write_reports_csv`` from its first
-argument. A refactor that renames or reshapes one of them should fail
-here, not in a benchmark run. perfbench/ is only read.
+argument. ``perfbench/workloads.py`` calls ``cli.main`` and the package's
+public functions many times in one process. A refactor that renames or
+reshapes one of them, or that carries state from one call to the next,
+should fail here, not in a benchmark run. perfbench/ is only read.
 """
 
 import importlib
@@ -15,15 +18,24 @@ import pytest
 
 from ghztangle.cli import main
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_layer_resolves(tracer):
@@ -49,3 +61,13 @@ def test_sweep_writes_through_write_reports_csv_with_the_path_first(tracer, tmp_
     # One call of each closed form per (channel, r) group, the pi-tangles
     # calling the other two again: 2 groups x 5 calls.
     assert stats["closedform"]["calls"] == 10
+
+
+@pytest.mark.parametrize("name", ["grid", "esd", "dense_states"])
+def test_benchmark_requests_pass_their_checks_twice(workloads, name, tmp_path, capsys):
+    workload = workloads.WORKLOADS[name](1, "tiny", str(tmp_path))
+    for _ in range(2):
+        for req in workload.requests:
+            result = workload.call(req)
+            assert workload.check(req, workload.collect(req, result)) == 0, req.describe()
+    capsys.readouterr()

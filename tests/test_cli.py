@@ -14,7 +14,7 @@ import pytest
 import ghztangle.closedform
 import ghztangle.linalg
 from ghztangle.analysis import SweepSpec, sweep
-from ghztangle.cli import COLUMNS, main
+from ghztangle.cli import COLUMNS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -380,6 +380,24 @@ def test_esd_rejects_bad_selector(capsys):
     code, _, err = run_cli(capsys, "esd", "--channel", "phase-flip", "--r", "0", "--tangle", "bogus")
     assert code == 1
     assert "error:" in err
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = tmp_path / "s.csv"
+    calls = [
+        ("esd", "--channel", "phase-flip", "--coupling", "custom", "--weights", "0.6,0.6,0.6", "--r", "0"),
+        ("esd", "--channel", "phase-flip", "--coupling", "custom", "--r", "0"),
+        ("esd", "--channel", "phase-flip", "--r", "0", "--bogus"),
+        # Would exit 1 if the custom esd's --weights were carried over.
+        ("sweep", "--channel", "phase-damping", "--r", "0", "--p-step", "0.5", "--out", str(out)),
+    ]
+    results = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 1, 1, 0]
+    assert "custom coupling requires --weights" in results[1][2]
+    assert "--bogus" in results[2][2]
+    with open(out, newline="") as handle:
+        assert [row[:2] for row in csv.reader(handle)][1:] == [["phase_damping", "collective"]] * 3
 
 
 def test_figure_writes_named_files(tmp_path, capsys):

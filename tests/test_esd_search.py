@@ -39,6 +39,14 @@ ESD_DIGESTS = [
         ("--channel", "phase-damping", "--tangle", "pi_tangle"),
         "66a87fbcb8c673c9a757b99b29494c0caaccc5db9ec4f7edb3d4c2e8f15dd92c",
     ),
+    (
+        ("--channel", "phase-flip", "--coupling", "custom", "--weights", "0.6,0.6,0.6", "--tangle", "n_A_BC"),
+        "8d78e7030e68109be2820453fd9bae5a74e911fc680520355fd15d8e3b438ba0",
+    ),
+    (
+        ("--channel", "phase-flip", "--coupling", "custom", "--weights", "0.6,0.6,0.6", "--tangle", "pi_tangle"),
+        "646cca21a1b93347cd2fa57f4b33aac637066b8bd7941af1c9edb6d78785638a",
+    ),
 ]
 
 
@@ -88,11 +96,15 @@ COUPLINGS = [
     ("collective", (1.0, 1.0, 1.0)),
     ("local_alice", (1.0, 1.0, 1.0)),
     ("custom", (1.0, 0.5, 0.0)),
+    # With weight 0.6 the phase-flip death lies at p = 5/6, between grid points.
+    ("custom", (0.6, 0.6, 0.6)),
+    ("custom", (1.0, 0.5, 0.25)),
 ]
+COUPLING_IDS = ["collective", "local_alice", "custom", "custom_0.6", "custom_1_0.5_0.25"]
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
-@pytest.mark.parametrize("coupling, weights", COUPLINGS, ids=[c for c, _ in COUPLINGS])
+@pytest.mark.parametrize("coupling, weights", COUPLINGS, ids=COUPLING_IDS)
 def test_find_esd_equals_sequential_bisection(channel, coupling, weights):
     rebounds = 0
     for r in (0.0, math.pi / 8, math.pi / 4 + 1e-3):
@@ -105,7 +117,10 @@ def test_find_esd_equals_sequential_bisection(channel, coupling, weights):
     assert (rebounds > 0) == (channel == "phase_flip")
 
 
-@pytest.mark.parametrize("flags, digest", ESD_DIGESTS, ids=["pf-pi", "pf-piA-alice", "pf-nC-custom", "pd-pi"])
+ESD_IDS = ["pf-pi", "pf-piA-alice", "pf-nC-custom", "pd-pi", "pf-nA-custom0.6", "pf-pi-custom0.6"]
+
+
+@pytest.mark.parametrize("flags, digest", ESD_DIGESTS, ids=ESD_IDS)
 def test_esd_table_is_byte_identical(flags, digest, capsys):
     assert main(["esd", "--r", R_LIST, *flags]) == 0
     out = capsys.readouterr().out
