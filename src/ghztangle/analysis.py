@@ -7,9 +7,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, CouplingConfig, _coherence_factors
+from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, full_reports, report_chunks
+from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -25,7 +25,8 @@ _LOOKAHEAD = 4
 
 CLOSED_FORM_TOL = 1e-9
 
-# Largest (r, p) grid a SweepSpec accepts; bounds the memory of one sweep.
+# Largest (r, p) grid a SweepSpec accepts. A sweep holds its r, channel,
+# parameter and closed-form arrays whole, and CHUNK rows of everything else.
 MAX_GRID_POINTS = 1_000_000
 
 # The numeric tangle fields of a report, in column order.
@@ -96,20 +97,18 @@ class SweepSpec:
         return np.multiply.outer(np.asarray(ps, dtype=float), weights)
 
 
-def _grid_points(spec: SweepSpec) -> tuple[list[float], list[CouplingConfig]]:
-    """The (r, config) points of the grid, r-major, p ascending within each r."""
-    configs = [spec.config_at(p) for p in spec.p_grid()]
-    return [r for r in spec.r_values for _ in configs], configs * len(spec.r_values)
-
-
 def sweep(spec: SweepSpec) -> list[TangleReport]:
     """All reports on the grid, r-major, p ascending within each r."""
-    return full_reports(*_grid_points(spec))
+    rows = (row for values in sweep_chunks(spec) for row in values.tolist())
+    return [TangleReport(spec.channel, spec.coupling, *row) for row in rows]
 
 
 def sweep_chunks(spec: SweepSpec):
     """The rows of ``sweep(spec)`` as ``tangles.report_chunks`` yields them."""
-    return report_chunks(*_grid_points(spec))
+    grid = spec._params(spec.p_grid())
+    r = np.repeat(np.array(spec.r_values, dtype=float), len(grid))
+    params = np.tile(grid, (len(spec.r_values), 1))
+    return report_chunks(r, np.full(len(r), spec.channel == PHASE_FLIP), params)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def find_esd(
     p_star = grid[0] if first == 0 else _bisect(grid[first - 1], grid[first], died)
 
     def above(ps) -> list[bool]:
-        return [v > REBOUND_TOL for v in _selected(r, [spec.config_at(p) for p in ps], tangle)]
+        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle)]
 
     beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
     after = next((j for j, up in zip(beyond, above([grid[j] for j in beyond])) if up), None)
@@ -284,11 +283,11 @@ def verify(
     """
     checks = []
     for channel in CHANNEL_KINDS:
-        configs, chunks = [], []
+        labels, chunks = [], []
         for coupling in ("collective", "local_alice"):
             spec = SweepSpec(channel, coupling, r_values=tuple(r_values), p_step=p_step)
-            for cfgs, values in sweep_chunks(spec):
-                configs.extend(cfgs)
+            for values in sweep_chunks(spec):
+                labels += [coupling] * len(values)
                 chunks.append(values)
         col = dict(zip(NUMERIC_COLUMNS, np.concatenate(chunks).T))
         dev_c = abs(col["n_C_AB"] - col["cf_n_BC_AC"])
@@ -313,7 +312,7 @@ def verify(
                     float(dev[i]),
                     float(col["r"][i]),
                     float(col["p0"][i]),
-                    configs[i].label,
+                    labels[i],
                     float(numeric[i]),
                     float(closed[i]),
                 )

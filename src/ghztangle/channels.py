@@ -152,17 +152,16 @@ def apply_channel(ops, rho) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def dephase_stack(configs, rho: np.ndarray) -> np.ndarray:
-    """``apply_channel(lift(cfg), rho[i])`` for every (cfg, rho[i]) pair.
-
-    ``rho`` is an (N, 8, 8) stack, one state per config. Each lifted
-    operator's diagonal is built with the products ``lift`` takes, in its
-    order, and ``out += (d_k[:, None] * rho) * d_k[None, :]`` reproduces
-    E_k rho E_k^dag bit for bit. Completeness is checked on the diagonals.
+def dephase_stack(flip: np.ndarray, params: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``apply_channel(lift(cfg), rho[i])`` for the cfg of every row i: phase
+    flip where the bool ``flip[i]`` is true, else phase damping, with the
+    parameters ``params[i]``; ``rho`` is (N, 8, 8). Each lifted operator's
+    diagonal is built with the products ``lift`` takes, in its order, and
+    ``out += (d_k[:, None] * rho) * d_k[None, :]`` reproduces E_k rho E_k^dag
+    bit for bit. Completeness is checked on the diagonals.
     """
-    p = np.array([cfg.params for cfg in configs])
-    flip = np.array([cfg.kind == PHASE_FLIP for cfg in configs])[:, None]
-    keep, kick = np.sqrt(1.0 - p), np.sqrt(p)
+    flip = flip[:, None]
+    keep, kick = np.sqrt(1.0 - params), np.sqrt(params)
     # Single-qubit diagonals, axes (point, qubit, operator, entry).
     e0 = np.stack([np.where(flip, keep, 1.0), keep], axis=-1)
     e1 = np.stack([np.where(flip, kick, 0.0), np.where(flip, -kick, kick)], axis=-1)
@@ -171,7 +170,7 @@ def dephase_stack(configs, rho: np.ndarray) -> np.ndarray:
     lifted = (
         single[:, 0, :, None, None, :, None, None] * single[:, 1, None, :, None, None, :, None]
     ) * single[:, 2, None, None, :, None, None, :]
-    diags = lifted.reshape(len(p), 8, 8)
+    diags = lifted.reshape(len(params), 8, 8)
     if np.abs((diags * diags).sum(axis=1) - 1.0).max() > COMPLETENESS_TOL:
         raise ValueError("Kraus completeness violated")
     out = np.zeros_like(rho)

@@ -53,8 +53,8 @@ def _fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file and a rename, with the mode open() gives."""
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings ``pieces`` through a temporary file and a rename, with the mode open() gives."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
@@ -62,7 +62,7 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         # mkstemp creates the file 0600 whatever the umask.
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -80,34 +80,35 @@ _CSV_ROW = "%s," + ",".join(["%.17g"] * len(NUMERIC_COLUMNS)) + "\n"
 _JSON_ROW = "  {%s, " + ", ".join(f"{json.dumps(name)}: %.17g" for name in NUMERIC_COLUMNS) + "}"
 
 
-def _csv_strings(channel: str, coupling: str) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow((channel, coupling))
-    return buf.getvalue()
-
-
-def _json_strings(channel: str, coupling: str) -> str:
-    pairs = zip(COLUMNS, (channel, coupling))
-    return ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in pairs)
-
-
 def write_reports_csv(path: str, spec: SweepSpec) -> int:
     """Write the report rows of ``spec``'s grid as CSV; returns how many.
 
     Every row shares the spec's channel and coupling strings, rendered once.
     """
-    strings = _csv_strings(spec.channel, spec.coupling)
-    rows = [_CSV_ROW % (strings, *row) for _, values in sweep_chunks(spec) for row in values.tolist()]
-    _atomic_write(path, ",".join(COLUMNS) + "\n" + "".join(rows))
-    return len(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow((spec.channel, spec.coupling))
+    return _write_rows(path, spec, ",".join(COLUMNS) + "\n", _CSV_ROW, buf.getvalue(), "", "")
 
 
 def write_reports_json(path: str, spec: SweepSpec) -> int:
     """The same rows as ``write_reports_csv``, as a JSON list of objects."""
-    strings = _json_strings(spec.channel, spec.coupling)
-    rows = [_JSON_ROW % (strings, *row) for _, values in sweep_chunks(spec) for row in values.tolist()]
-    _atomic_write(path, "[\n" + ",\n".join(rows) + "\n]\n")
-    return len(rows)
+    pairs = zip(COLUMNS, (spec.channel, spec.coupling))
+    strings = ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in pairs)
+    return _write_rows(path, spec, "[\n", _JSON_ROW, strings, ",\n", "\n]\n")
+
+
+def _write_rows(path: str, spec: SweepSpec, head: str, row: str, strings: str, sep: str, tail: str) -> int:
+    """Write ``head``, the grid's rows as ``row % (strings, *numbers)`` joined by ``sep``, and
+    ``tail``, one stack at a time, so memory holds CHUNK rows, not the file; returns the row count."""
+
+    def pieces():
+        yield head
+        for i, values in enumerate(sweep_chunks(spec)):
+            yield (sep if i else "") + sep.join([row % (strings, *numbers) for numbers in values.tolist()])
+        yield tail
+
+    _atomic_write(path, pieces())
+    return len(spec.r_values) * spec._p_count()
 
 
 def _parse_r_list(text: str) -> tuple[float, ...]:
@@ -319,10 +320,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

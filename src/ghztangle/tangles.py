@@ -5,13 +5,13 @@ negativities of the two-qubit reduced states, and the residual combines
 them in the monogamy form N_one^2 - N_pair^2 - N_pair^2. The pi-tangle is
 the average of the three residuals.
 
-``report_chunks`` evaluates many (r, coupling) points at once: it stacks
-CHUNK points at a time through every stage and yields each stack's report
-rows as one float array, so the per-point cost is array arithmetic rather
-than Python calls. Each stage does exactly the arithmetic of its
+``report_chunks`` evaluates many points at once, given as arrays: it
+stacks CHUNK points at a time through every stage and yields each stack's
+report rows as one float array, so the per-point cost is array arithmetic
+rather than Python calls. Each stage does exactly the arithmetic of its
 single-matrix counterpart, so a report does not depend on the batch it was
-computed in. ``full_reports`` builds ``TangleReport`` objects from those
-rows; the CLI writers format the arrays directly.
+computed in. ``full_reports`` turns ``CouplingConfig`` points into those
+arrays and the rows into ``TangleReport`` objects.
 """
 
 from __future__ import annotations
@@ -160,71 +160,73 @@ def full_report(r: float, cfg: CouplingConfig) -> TangleReport:
 
 def full_reports(r_values, configs) -> list[TangleReport]:
     """``full_report(r_values[i], configs[i])`` for every i, in order."""
-    return [
-        TangleReport(cfg.kind, cfg.label, *row)
-        for cfgs, values in report_chunks(r_values, configs)
-        for cfg, row in zip(cfgs, values.tolist())
-    ]
-
-
-def report_chunks(r_values, configs):
-    """The rows of ``full_reports(r_values, configs)`` as arrays, CHUNK at a time.
-
-    Yields ``(cfgs, values)`` per stack: ``cfgs`` is the stack's slice of
-    ``configs``, which carries each row's channel and coupling, and
-    ``values`` a ``(len(cfgs), 20)`` float array whose columns are
-    NUMERIC_COLUMNS. Every check of the single-point route (Kraus
-    completeness, hermiticity, eigensolver convergence and pairing, the
-    negativity cross-check and the clamp floor) runs on each whole stack.
-    The residuals, pi-tangle and deviations are array arithmetic in the
-    order of their scalar forms, and each closed form is called once per
-    (channel, r) group of the whole input, so a value does not depend on
-    the stack or group it was computed in.
-    """
-    r_values = list(r_values)
     configs = list(configs)
-    if len(r_values) != len(configs):
-        raise ValueError("r_values and configs differ in length")
+    flip = np.array([cfg.kind == PHASE_FLIP for cfg in configs], dtype=bool)
     params = np.array([cfg.params for cfg in configs], dtype=float).reshape(-1, 3)
-    r_column = np.array(r_values, dtype=float)
-    closed = _closed_forms(r_values, configs, params)
-    for start, n in _stacks(r_values, configs, range(6)):
+    chunks = report_chunks(np.array(r_values, dtype=float), flip, params)
+    rows = (row for values in chunks for row in values.tolist())
+    return [TangleReport(cfg.kind, cfg.label, *row) for row, cfg in zip(rows, configs)]
+
+
+def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
+    """The report rows of the points (r[i], flip[i], params[i]), CHUNK at a time.
+
+    ``r`` is (N,), ``flip`` a bool (N,) array, true where the channel is
+    phase flip and false for phase damping, and ``params`` (N, 3). Yields a
+    ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
+    lengths and the parameter range are checked once per call; every check
+    of the single-point route (Kraus completeness, hermiticity, eigensolver
+    convergence and pairing, the negativity cross-check and the clamp
+    floor) runs on each whole stack. The residuals, pi-tangle and deviations
+    are array arithmetic in the order of their scalar forms, and each closed
+    form is called once per (channel, r) group of the whole input, so a
+    value does not depend on the stack or group it was computed in.
+    """
+    if not len(r) == len(flip) == len(params):
+        raise ValueError("r, flip and params differ in length")
+    # Written so that NaN fails too.
+    if not ((0 <= params) & (params <= 1)).all():
+        raise ValueError("p must be in [0, 1]")
+    closed = _closed_forms(r, flip, params)
+    for start, n in _stacks(r, flip, params, range(6)):
         stop = start + CHUNK
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
         cf_a, cf_bc, cf_pi = closed[:, start:stop]
         columns = (
-            *params[start:stop].T, r_column[start:stop],
+            *params[start:stop].T, r[start:stop],
             *n, pi_a, pi_b, pi_c, pi,
             cf_a, cf_bc, cf_pi, abs(n[0] - cf_a), abs(n[1] - cf_bc), abs(pi - cf_pi),
         )  # fmt: skip
-        yield configs[start:stop], np.stack(columns, axis=1)
+        yield np.stack(columns, axis=1)
 
 
-def _stacks(r_values: list, configs: list, cuts):
+def _stacks(r, flip, params, cuts):
     """``(start, _negativities(rho, cuts))`` for each dephased stack ``rho``
     of CHUNK points from ``start``; one state per distinct r, none if empty."""
-    states = {r: ghz_rindler_density(r, r) for r in dict.fromkeys(r_values)}
-    for start in range(0, len(configs), CHUNK):
+    values, index = np.unique(r, return_inverse=True)
+    states = np.array([ghz_rindler_density(v, v) for v in values.tolist()])
+    for start in range(0, len(r), CHUNK):
         stop = start + CHUNK
-        rho = dephase_stack(configs[start:stop], np.stack([states[r] for r in r_values[start:stop]]))
+        rho = dephase_stack(flip[start:stop], params[start:stop], states[index[start:stop]])
         yield start, _negativities(rho, cuts)
 
 
-def _closed_forms(r_values, configs, params) -> np.ndarray:
+def _closed_forms(r, flip, params) -> np.ndarray:
     """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns, one row each.
 
     Each closed form is called through the ``closedform`` module once per
-    (channel, r) group, with the group's parameters as arrays.
+    (channel, distinct r) group, with the group's parameters as arrays.
     """
-    groups = {}
-    for i, (r, cfg) in enumerate(zip(r_values, configs)):
-        groups.setdefault((cfg.kind, r), []).append(i)
-    out = np.empty((3, len(configs)))
-    for (kind, r), rows in groups.items():
+    values, index = np.unique(r, return_inverse=True)
+    # One key per (distinct r, channel) group present: 2 * (index of r) + flip.
+    keys, group = np.unique(2 * index + flip, return_inverse=True)
+    out = np.empty((3, len(r)))
+    for j, key in enumerate(keys.tolist()):
+        rows = group == j
         p0, p1, p2 = params[rows].T
-        for column, name in zip(out, _CLOSED_FORMS[kind]):
-            column[rows] = getattr(closedform, name)(r, p0, p1, p2)
+        for column, name in zip(out, _CLOSED_FORMS[PHASE_FLIP if key % 2 else PHASE_DAMPING]):
+            column[rows] = getattr(closedform, name)(values[key // 2].item(), p0, p1, p2)
     return out
 
 
@@ -253,14 +255,15 @@ def _combine(n: np.ndarray) -> np.ndarray:
     return pi_tangle(*_residuals(*n))
 
 
-def _selected(r: float, configs, tangle: str) -> list[float]:
-    """``getattr(full_report(r, cfg), tangle)`` for every cfg, bit for bit.
+def _selected(kind: str, r: float, params: np.ndarray, tangle: str) -> list[float]:
+    """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit.
 
     Runs the stacks of ``report_chunks``, with every check on each, but
     solves only the cuts the tangle reads: one for a one- or two-tangle,
     three for a residual, six for the pi-tangle.
     """
-    stacks = _stacks([r] * len(configs), configs, _SELECTOR_CUTS[tangle])
+    flip = np.full(len(params), kind == PHASE_FLIP)
+    stacks = _stacks(np.full(len(params), float(r)), flip, params, _SELECTOR_CUTS[tangle])
     return [v for _, n in stacks for v in _combine(n).tolist()]
 
 

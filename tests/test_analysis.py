@@ -309,7 +309,7 @@ def test_array_params_and_factors_equal_the_per_point_forms(kind, coupling, weig
         assert _bits(f) == _bits(scalar)
 
 
-def test_find_esd_builds_no_coupling_config_without_a_rebound_scan(monkeypatch):
+def _count_configs(monkeypatch) -> list:
     built = []
     check = CouplingConfig.__post_init__
 
@@ -318,9 +318,27 @@ def test_find_esd_builds_no_coupling_config_without_a_rebound_scan(monkeypatch):
         check(cfg)
 
     monkeypatch.setattr(CouplingConfig, "__post_init__", counted)
+    return built
+
+
+def test_find_esd_builds_no_coupling_config_without_a_rebound_scan(monkeypatch):
+    built = _count_configs(monkeypatch)
     # Phase damping dies on the last grid point: nothing beyond it to scan.
     find_esd("phase_damping", math.pi / 4)
     assert built == []
-    # Phase flip dies at p = 1/2 and scans the points beyond it.
+    # Phase flip dies at p = 1/2 and scans the points beyond it, as arrays.
     find_esd("phase_flip", math.pi / 4)
-    assert built
+    assert built == []
+    result = find_esd("phase_flip", math.pi / 4, "pi_tangle", coupling="custom", weights=(1.0, 0.5, 0.25))
+    assert result.rebound
+    assert built == []
+
+
+def test_sweep_builds_no_coupling_config(monkeypatch):
+    built = _count_configs(monkeypatch)
+    spec = SweepSpec("phase_flip", "custom", weights=(1.0, 0.5, 0.25), r_values=(0.0, 0.5), p_step=0.1)
+    reports = sweep(spec)
+    rows = [row for values in analysis.sweep_chunks(spec) for row in values.tolist()]
+    assert built == []
+    assert len(reports) == len(rows) == 22
+    assert [(rep.channel, rep.coupling) for rep in reports] == [("phase_flip", "custom")] * 22

@@ -61,6 +61,8 @@ def test_sweep_writes_through_write_reports_csv_with_the_path_first(tracer, tmp_
     # One call of each closed form per (channel, r) group, the pi-tangles
     # calling the other two again: 2 groups x 5 calls.
     assert stats["closedform"]["calls"] == 10
+    # One state per distinct r, gathered into every stack that needs it.
+    assert stats["rindler.ghz_rindler_density"]["calls"] == 2
 
 
 @pytest.mark.parametrize("name", ["grid", "esd", "dense_states"])

@@ -287,6 +287,53 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "did not converge" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_mid_stream_leaves_the_target_unchanged(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old\n")
+    real = ghztangle.cli.sweep_chunks
+
+    def first_stack_then_fail(spec):
+        yield next(real(spec))
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(ghztangle.cli, "sweep_chunks", first_stack_then_fail)
+    argv = ["--channel", "phase-flip", "--r", "0.5", "--p-step", "0.001", "--out", str(out)]
+    code, _, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert "injected failure" in err
+    assert out.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+# The peak resident set of this process image, in KiB. Not ru_maxrss:
+# Linux carries that across exec from the launching process, so under a
+# test runner it reads the runner's own peak.
+_PEAK_RSS = (
+    "import sys; from ghztangle.cli import main; main(sys.argv[1:]); "
+    "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_sweep_memory_does_not_grow_with_the_row_count(tmp_path):
+    # 2,001 and 20,001 rows: the writer streams one stack at a time, so the
+    # larger run holds only its r, channel and parameter arrays more.
+    src = Path(ghztangle.__file__).resolve().parent.parent
+    peaks = []
+    for step in ("0.0005", "0.00005"):
+        argv = ["sweep", "--channel", "phase-flip", "--r", "0.5", "--p-step", step, "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]))
+    assert peaks[1] - peaks[0] < 8 * 1024
 
 
 def test_verify_inertial_strict_passes(capsys):

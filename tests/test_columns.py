@@ -11,11 +11,12 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghztangle import cli, closedform
-from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, CouplingConfig
+from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, PHASE_FLIP, CouplingConfig
 from ghztangle.tangles import CHUNK, NUMERIC_COLUMNS, full_report, pi_tangle, report_chunks, residual
 
 FUNCS = (
@@ -47,11 +48,10 @@ def _config(kind, coupling, p):
 
 
 def _rows(r_list, configs):
-    return [
-        (cfg.kind, cfg.label, *row)
-        for cfgs, values in report_chunks(r_list, configs)
-        for cfg, row in zip(cfgs, values.tolist())
-    ]
+    flip = np.array([cfg.kind == PHASE_FLIP for cfg in configs])
+    chunks = report_chunks(np.array(r_list, dtype=float), flip, np.array([cfg.params for cfg in configs]))
+    rows = [row for values in chunks for row in values.tolist()]
+    return [(cfg.kind, cfg.label, *row) for cfg, row in zip(configs, rows)]
 
 
 def _scalar_tail(r, cfg, n):
@@ -114,6 +114,23 @@ def test_columnar_rows_equal_full_report_across_a_chunk_boundary():
         r_list.append(r)
         configs.append(_config(kind, coupling, p))
     _assert_rows_match(r_list, configs)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, math.nan])
+def test_report_chunks_rejects_parameters_outside_the_unit_interval(bad):
+    # dephase_stack's completeness test alone lets NaN through.
+    params = np.array([[0.5, 0.5, 0.5], [0.2, bad, 0.0]])
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        next(report_chunks(np.array([0.3, 0.3]), np.array([True, False]), params))
+
+
+def test_report_chunks_yields_one_array_per_stack():
+    size = 2 * CHUNK + 3
+    params = np.tile([0.1, 0.2, 0.3], (size, 1))
+    chunks = list(report_chunks(np.full(size, 0.5), np.zeros(size, dtype=bool), params))
+    assert [values.shape for values in chunks] == [(CHUNK, 20), (CHUNK, 20), (3, 20)]
+    with pytest.raises(ValueError, match="differ in length"):
+        next(report_chunks(np.full(size, 0.5), np.zeros(size - 1, dtype=bool), params))
 
 
 def test_row_format_equals_format_17g():

@@ -284,5 +284,5 @@ def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling):
         # full_reports equals full_report point by point (tests/test_golden.py).
         reports = full_reports([r] * len(cfgs), cfgs)
         for tangle in TANGLE_SELECTORS:
-            got = tangles._selected(r, cfgs, tangle)
+            got = tangles._selected(kind, r, np.array([cfg.params for cfg in cfgs]), tangle)
             assert _bits(got) == _bits(getattr(rep, tangle) for rep in reports), tangle
