@@ -36,10 +36,10 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
     """Cyclic Jacobi sweeps on one symmetric matrix, on Python floats.
 
     Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
-    them. ``a`` must be exactly symmetric: every caller passes the
-    embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix symmetrized as
-    ``(m + m^dag) / 2``, which is. Symmetry is what lets one rotation
-    compute only the new columns p and q and mirror them into rows p and q.
+    them. ``a`` must be exactly symmetric, as every matrix either kernel
+    gets is: symmetrized as ``(m + m^dag) / 2``, then embedded if complex.
+    Symmetry is what lets one rotation compute only the new columns p and q
+    and mirror them into rows p and q.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("jacobi_sweeps needs a square matrix")
@@ -97,13 +97,14 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
     return sweeps
 
 
-def _off_norms(a):
-    # Per matrix, the same sum as jacobi_sweeps', in the same order.
+def _off_norms(a, blocks):
+    # Per matrix, the same sum as jacobi_sweeps', in the same order. numpy
+    # sums two 8x8 copies as twice one, so blocks=2 is then exact too.
     upper = np.triu(a, 1)
-    return np.sqrt(2.0 * np.square(upper, out=upper).sum(axis=(1, 2)))
+    return np.sqrt(2.0 * blocks * np.square(upper, out=upper).sum(axis=(1, 2)))
 
 
-def jacobi_sweeps_batched(a, off_tol, max_sweeps):
+def jacobi_sweeps_batched(a, off_tol, max_sweeps, blocks=1):
     """``jacobi_sweeps`` over an (N, n, n) stack, eigenvalues only.
 
     Every matrix goes through exactly the rotations the single-matrix kernel
@@ -111,12 +112,15 @@ def jacobi_sweeps_batched(a, off_tol, max_sweeps):
     the matrices that are still unconverged and have a nonzero pivot, so
     each result is bit-identical to a separate call. Returns an int array
     of per-matrix sweep counts, -1 where ``max_sweeps`` was not enough.
+    ``blocks = k`` solves each matrix as the block diagonal of k copies of
+    it, such as a real matrix's complex embedding (k = 2): the rotations
+    are one copy's, and the stop test takes the copies' off-diagonal norm.
     """
     count, n = a.shape[0], a.shape[1]
     sweeps = np.full(count, -1, dtype=np.int64)
     live = np.ones(count, dtype=bool)
     for sweep in range(max_sweeps + 1):
-        done = live & (_off_norms(a) <= off_tol)
+        done = live & (_off_norms(a, blocks) <= off_tol)
         sweeps[done] = sweep
         live &= ~done
         if sweep == max_sweeps or not live.any():

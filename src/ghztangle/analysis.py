@@ -123,12 +123,14 @@ class EsdResult:
     rebound_onset: float | None
 
 
-def _check_x_state(r: float) -> None:
-    """RuntimeError unless ghz_rindler_density(r, r) is zero off _X_SUPPORT."""
-    rest = ghz_rindler_density(r, r)
+def _check_x_state(r: float) -> np.ndarray:
+    """ghz_rindler_density(r, r); RuntimeError unless it is zero off _X_SUPPORT."""
+    rho = ghz_rindler_density(r, r)
+    rest = rho.copy()
     rest[_X_SUPPORT] = 0.0
     if np.any(rest != 0.0):
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
+    return rho
 
 
 def find_esd(
@@ -166,7 +168,7 @@ def find_esd(
     if coupling != "custom" and tuple(weights) != (1.0, 1.0, 1.0):
         raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
-    _check_x_state(r)
+    rho = _check_x_state(r)
 
     def factors(ps) -> np.ndarray:
         return _coherence_factors(channel, spec._params(ps))
@@ -187,7 +189,7 @@ def find_esd(
     p_star = grid[0] if first == 0 else _bisect(grid[first - 1], grid[first], died)
 
     def above(ps) -> list[bool]:
-        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle)]
+        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, rho)]
 
     beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
     after = next((j for j, up in zip(beyond, above([grid[j] for j in beyond])) if up), None)

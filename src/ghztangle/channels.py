@@ -158,7 +158,8 @@ def dephase_stack(flip: np.ndarray, params: np.ndarray, rho: np.ndarray) -> np.n
     parameters ``params[i]``; ``rho`` is (N, 8, 8). Each lifted operator's
     diagonal is built with the products ``lift`` takes, in its order, and
     ``out += (d_k[:, None] * rho) * d_k[None, :]`` reproduces E_k rho E_k^dag
-    bit for bit. Completeness is checked on the diagonals.
+    bit for bit. Completeness is checked on the diagonals. The result keeps
+    ``rho``'s dtype, which is float64 on the report pipeline's route.
     """
     flip = flip[:, None]
     keep, kick = np.sqrt(1.0 - params), np.sqrt(params)

@@ -1,18 +1,18 @@
-"""Dense complex linear algebra for few-qubit density matrices.
+"""Dense linear algebra for few-qubit density matrices.
 
-All operators are numpy complex128 arrays. Qubit ordering convention used
-throughout the package: qubit 0 is the most significant tensor factor, so
-the computational basis state |abc> of three qubits sits at index 4a+2b+c.
+Public functions take numpy complex128 arrays. Qubit ordering convention
+used throughout the package: qubit 0 is the most significant tensor factor,
+so the computational basis state |abc> of three qubits sits at index 4a+2b+c.
 
 The Hermitian eigensolver embeds a d x d Hermitian matrix as the 2d x 2d
 real symmetric matrix [[Re, -Im], [Im, Re]] and runs cyclic Jacobi sweeps
-(see ``_kernels``). Each eigenvalue of the original matrix shows up twice
-in the embedded spectrum; after sorting, consecutive entries are paired and
-averaged.
+(see ``_kernels``). Each eigenvalue shows up twice in the embedded
+spectrum; sorted, consecutive entries are paired and averaged. A real A
+embeds as A (+) A, whose sweeps are A's own, so it is solved as it is.
 
 Functions named ``*_stack`` are the internal forms behind the public ones:
-they act on the last two axes of an (N, d, d) stack, take trusted input
-and skip the argument checks. The batched report pipeline calls them.
+they act on the last two axes of an (N, d, d) stack, real or complex, take
+trusted input and skip the argument checks. The report pipeline's are real.
 A public function coerces its input with ``as_matrix`` and checks its
 arguments with ``_checked_keep``, once; ``tangles.negativity`` and
 ``tangles.two_tangle`` do the same and then call ``_eigenvalues``. The
@@ -96,17 +96,18 @@ def partial_transpose_stack(rho: np.ndarray, subsystem: int, n: int) -> np.ndarr
 
 
 def _checked_hermitian(m: np.ndarray) -> np.ndarray:
+    # For a real m the conjugate transpose is a view of m: add into a new array.
     mh = np.swapaxes(m, -1, -2).conj()
     if np.abs(m - mh).max() > HERMITICITY_TOL:
         raise ValueError("hermiticity violated")
-    mh += m
+    mh = mh + m
     mh /= 2.0
     return mh
 
 
 def _embed_real(h: np.ndarray) -> np.ndarray:
     # [[Re, -Im], [Im, Re]] is symmetric when h is Hermitian. Filled in
-    # place: a stack of embeddings is the pipeline's largest array.
+    # place, without temporaries the size of the embedding.
     d = h.shape[-1]
     out = np.empty(h.shape[:-2] + (2 * d, 2 * d))
     out[..., :d, :d] = out[..., d:, d:] = h.real
@@ -146,14 +147,18 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of every matrix in a stack, one row each.
 
-    Same embedding, rotations and pairing as ``hermitian_eigenvalues``, so
-    each row is bit-identical to the single-matrix result; the Jacobi
-    kernel runs once over the whole stack.
+    A complex stack takes the embedding and pairing of
+    ``hermitian_eigenvalues``; a float64 stack its own sweeps, with the
+    embedding's stop test. Rows are bit-identical to the single-matrix
+    result (real ones for 8 x 8 or diagonal input); ``m`` is not changed.
     """
-    a = _embed_real(_checked_hermitian(m))
-    if (_kernels.jacobi_sweeps_batched(a, OFF_DIAGONAL_TOL, MAX_SWEEPS) < 0).any():
+    h = _checked_hermitian(m)
+    embed = np.iscomplexobj(h)
+    a = _embed_real(h) if embed else h
+    if (_kernels.jacobi_sweeps_batched(a, OFF_DIAGONAL_TOL, MAX_SWEEPS, 1 if embed else 2) < 0).any():
         raise RuntimeError("eigensolver did not converge")
-    return _paired(np.diagonal(a, axis1=-2, axis2=-1))
+    w = np.diagonal(a, axis1=-2, axis2=-1)
+    return _paired(w) if embed else np.sort(w)
 
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:

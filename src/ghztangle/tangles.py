@@ -174,10 +174,10 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     ``r`` is (N,), ``flip`` a bool (N,) array, true where the channel is
     phase flip and false for phase damping, and ``params`` (N, 3). Yields a
     ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
-    lengths and the parameter range are checked once per call; every check
-    of the single-point route (Kraus completeness, hermiticity, eigensolver
-    convergence and pairing, the negativity cross-check and the clamp
-    floor) runs on each whole stack. The residuals, pi-tangle and deviations
+    lengths and the parameter range are checked once per call; the other
+    checks (a real state, Kraus completeness, hermiticity, eigensolver
+    convergence, the negativity cross-check and the clamp floor) run on
+    each whole stack. The residuals, pi-tangle and deviations
     are array arithmetic in the order of their scalar forms, and each closed
     form is called once per (channel, r) group of the whole input, so a
     value does not depend on the stack or group it was computed in.
@@ -187,8 +187,10 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     # Written so that NaN fails too.
     if not ((0 <= params) & (params <= 1)).all():
         raise ValueError("p must be in [0, 1]")
-    closed = _closed_forms(r, flip, params)
-    for start, n in _stacks(r, flip, params, range(6)):
+    values, index = np.unique(r, return_inverse=True)
+    states = np.array([ghz_rindler_density(v, v) for v in values.tolist()])
+    closed = _closed_forms(values, index, flip, params)
+    for start, n in _stacks(states, index, flip, params, range(6)):
         stop = start + CHUNK
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
@@ -201,27 +203,28 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
         yield np.stack(columns, axis=1)
 
 
-def _stacks(r, flip, params, cuts):
+def _stacks(states, index, flip, params, cuts):
     """``(start, _negativities(rho, cuts))`` for each dephased stack ``rho``
-    of CHUNK points from ``start``; one state per distinct r, none if empty."""
-    values, index = np.unique(r, return_inverse=True)
-    states = np.array([ghz_rindler_density(v, v) for v in values.tolist()])
-    for start in range(0, len(r), CHUNK):
+    of CHUNK points from ``start``, point i from ``states[index[i]]``. The
+    stacks are float64, so a state with an imaginary part is refused."""
+    if (states.imag != 0.0).any():
+        raise RuntimeError("state has an imaginary part; the float64 stack route needs a real one")
+    states = states.real
+    for start in range(0, len(index), CHUNK):
         stop = start + CHUNK
         rho = dephase_stack(flip[start:stop], params[start:stop], states[index[start:stop]])
         yield start, _negativities(rho, cuts)
 
 
-def _closed_forms(r, flip, params) -> np.ndarray:
-    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns, one row each.
+def _closed_forms(values, index, flip, params) -> np.ndarray:
+    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns of r = ``values[index]``, one row each.
 
     Each closed form is called through the ``closedform`` module once per
     (channel, distinct r) group, with the group's parameters as arrays.
     """
-    values, index = np.unique(r, return_inverse=True)
     # One key per (distinct r, channel) group present: 2 * (index of r) + flip.
     keys, group = np.unique(2 * index + flip, return_inverse=True)
-    out = np.empty((3, len(r)))
+    out = np.empty((3, len(index)))
     for j, key in enumerate(keys.tolist()):
         rows = group == j
         p0, p1, p2 = params[rows].T
@@ -232,7 +235,7 @@ def _closed_forms(r, flip, params) -> np.ndarray:
 
 def _negativities(rho, cuts) -> np.ndarray:
     """Clamped negativities of the given cuts of a dephased stack, one row per cut."""
-    # One cut at a time, so only one stack of embeddings is alive at once.
+    # One cut at a time, so only one stack of partial transposes is alive at once.
     rows = [_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts]
     return _clamp(np.stack(rows))
 
@@ -255,15 +258,17 @@ def _combine(n: np.ndarray) -> np.ndarray:
     return pi_tangle(*_residuals(*n))
 
 
-def _selected(kind: str, r: float, params: np.ndarray, tangle: str) -> list[float]:
+def _selected(kind: str, r: float, params: np.ndarray, tangle: str, rho=None) -> list[float]:
     """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit.
 
     Runs the stacks of ``report_chunks``, with every check on each, but
     solves only the cuts the tangle reads: one for a one- or two-tangle,
-    three for a residual, six for the pi-tangle.
+    three for a residual, six for the pi-tangle. ``rho`` is r's state, if built.
     """
+    rho = ghz_rindler_density(r, r) if rho is None else rho
     flip = np.full(len(params), kind == PHASE_FLIP)
-    stacks = _stacks(np.full(len(params), float(r)), flip, params, _SELECTOR_CUTS[tangle])
+    index = np.zeros(len(params), dtype=np.intp)
+    stacks = _stacks(rho[None], index, flip, params, _SELECTOR_CUTS[tangle])
     return [v for _, n in stacks for v in _combine(n).tolist()]
 
 

@@ -1,0 +1,130 @@
+"""The grid's float64 stack route.
+
+The accelerated GHZ state and both channels' Kraus operators are real, so
+``tangles.report_chunks`` and ``tangles._selected`` run from the built
+state to the spectra in float64, and ``hermitian_eigenvalues_stack``
+solves each real cut as it is instead of its complex embedding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ghztangle import analysis, linalg, tangles
+from ghztangle.analysis import SweepSpec, find_esd, sweep_chunks
+from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, apply_channel, dephase_stack, lift
+from ghztangle.linalg import hermitian_eigenvalues_stack
+from ghztangle.rindler import ghz_rindler_density
+from ghztangle.tangles import negativity
+
+from oracles import random_hermitian
+
+SPECIAL_R = (0.0, math.pi / 8, math.pi / 4)
+LADDER = [0.5 + s * 10.0**-k for k in range(1, 16) for s in (-1.0, 1.0)] + [0.0, 1.0]
+# Every ladder value under collective, local-Alice and (1, 0.5, 0.25) coupling.
+LADDER_PARAMS = np.multiply.outer(LADDER, [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.5, 0.25]]).reshape(-1, 3)
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+near_half = st.floats(min_value=0.5 - 1e-12, max_value=0.5 + 1e-12)
+
+
+@pytest.mark.parametrize("channel", CHANNEL_KINDS)
+def test_find_esd_builds_the_state_once(channel, monkeypatch):
+    calls = []
+
+    def counted(rb, rc):
+        calls.append((rb, rc))
+        return ghz_rindler_density(rb, rc)
+
+    monkeypatch.setattr(analysis, "ghz_rindler_density", counted)
+    monkeypatch.setattr(tangles, "ghz_rindler_density", counted)
+    for tangle in ("n_A_BC", "pi_tangle"):
+        calls.clear()
+        find_esd(channel, math.pi / 4, tangle=tangle)
+        assert calls == [(math.pi / 4, math.pi / 4)]
+
+
+def test_stack_eigensolver_leaves_its_input_unchanged():
+    rng = np.random.default_rng(7)
+    complex_stack = np.array([random_hermitian(rng, 8) for _ in range(4)])
+    real_stack = complex_stack.real + np.swapaxes(complex_stack.real, -1, -2)
+    for stack in (real_stack, complex_stack):
+        before = stack.copy()
+        hermitian_eigenvalues_stack(stack)
+        assert stack.tobytes() == before.tobytes()
+
+
+def _with_imaginary_coherence(rb, rc):
+    rho = ghz_rindler_density(rb, rc)
+    rho[0, 7] += 1e-300j
+    rho[7, 0] -= 1e-300j
+    return rho
+
+
+def test_report_chunks_refuses_a_state_that_is_not_real(monkeypatch):
+    monkeypatch.setattr(tangles, "ghz_rindler_density", _with_imaginary_coherence)
+    r = np.array([0.3, 0.3])
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        list(tangles.report_chunks(r, np.array([True, False]), np.full((2, 3), 0.2)))
+
+
+@pytest.mark.parametrize("channel", CHANNEL_KINDS)
+def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
+    monkeypatch.setattr(analysis, "ghz_rindler_density", _with_imaginary_coherence)
+    monkeypatch.setattr(tangles, "ghz_rindler_density", _with_imaginary_coherence)
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        find_esd(channel, 0.3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(CHANNEL_KINDS),
+    r=st.one_of(st.sampled_from(SPECIAL_R), st.floats(min_value=0.0, max_value=math.pi / 4)),
+    extra=st.lists(st.tuples(*[st.one_of(unit, near_half)] * 3), max_size=16),
+)
+@example(kind="phase_flip", r=0.0, extra=[])
+@example(kind="phase_flip", r=math.pi / 8, extra=[])
+@example(kind="phase_flip", r=math.pi / 4, extra=[])
+@example(kind="phase_damping", r=0.0, extra=[])
+@example(kind="phase_damping", r=math.pi / 8, extra=[])
+@example(kind="phase_damping", r=math.pi / 4, extra=[])
+def test_real_cuts_solve_as_their_complex_embeddings(kind, r, extra):
+    # The embedded off-diagonal norm is sqrt(2) times the real one, against
+    # the same absolute tolerance; near p = 1/2 the coherence is near it.
+    params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
+    state = ghz_rindler_density(r, r).real
+    rho = dephase_stack(np.full(len(params), kind == PHASE_FLIP), params, np.repeat(state[None], len(params), axis=0))
+    assert rho.dtype == np.float64
+    for k in range(6):
+        cut = tangles._cut(rho, k)
+        real = hermitian_eigenvalues_stack(cut)
+        embedded = hermitian_eigenvalues_stack(cut.astype(np.complex128))
+        assert real.tobytes() == embedded.tobytes(), (k, r)
+
+
+def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
+    # At r = 0 the A|BC cut holds the block [[0, c], [c, 0]], with
+    # c = (1 - 2p) / 2 under local-Alice phase flip: here about 6e-14. Its
+    # off-diagonal norm, sqrt(2)|c|, passes the stop test; its embedding's,
+    # 2|c|, does not, and the embedded solve rotates the block to +-|c|.
+    p = 0.5 - 6e-14
+    rho = apply_channel(lift(CouplingConfig.local_alice(PHASE_FLIP, p)), ghz_rindler_density(0.0, 0.0))
+    (row,) = next(tangles.report_chunks(np.zeros(1), np.ones(1, dtype=bool), np.array([[p, 0.0, 0.0]])))
+    assert row[4] == negativity(rho, 0) > 1e-13
+
+
+def test_the_stack_route_never_embeds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the float64 stack route took the complex embedding")
+
+    monkeypatch.setattr(linalg, "_embed_real", refuse)
+    monkeypatch.setattr(linalg, "_paired", refuse)
+    r_grid = tuple(i * (math.pi / 160.0) for i in range(41))
+    for channel in CHANNEL_KINDS:
+        spec = SweepSpec(channel, "collective", r_values=r_grid, p_step=0.025)
+        assert sum(len(values) for values in sweep_chunks(spec)) == 41 * 41
+    ps = SweepSpec(PHASE_FLIP)._params(np.linspace(0.0, 1.0, 201))
+    assert len(tangles._selected(PHASE_FLIP, math.pi / 4, ps, "pi_tangle")) == 201
