@@ -229,6 +229,26 @@ def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
     return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
+def _gaps(col: dict):
+    """(quantity, gap, numeric, closed) columns of each verified closed form.
+
+    The BC expressions claim the B and C one-tangles alike, so their gap
+    takes the worse of the two, the B one-tangle on a tie.
+    """
+    dev_c = abs(col["n_C_AB"] - col["cf_n_BC_AC"])
+    c_worse = dev_c > col["dev_BC"]
+    return (
+        ("one_tangle_A", col["dev_A"], col["n_A_BC"], col["cf_n_A_BC"]),
+        (
+            "one_tangle_BC",
+            np.where(c_worse, dev_c, col["dev_BC"]),
+            np.where(c_worse, col["n_C_AB"], col["n_B_AC"]),
+            col["cf_n_BC_AC"],
+        ),
+        ("pi_tangle", col["dev_pi"], col["pi_tangle"], col["cf_pi"]),
+    )
+
+
 # Known defects of the reference material, surfaced with every report.
 ERRATA = (
     "state normalization: the three-qubit construction carries an overall 1/2 "
@@ -280,45 +300,25 @@ def verify(
 ) -> VerificationReport:
     """Compare every closed form against the pipeline over the whole grid.
 
-    Both coupling patterns are exercised. The BC expressions claim the B and
-    C one-tangles alike, so their deviation takes the worse of the two.
+    Both coupling patterns are exercised. Each stack of rows is folded into
+    a running worst gap per closed form as it is computed, so memory does
+    not grow with the grid.
     """
     checks = []
     for channel in CHANNEL_KINDS:
-        labels, chunks = [], []
+        # quantity -> the EquationCheck fields after it, from its worst row so far.
+        worst = {}
         for coupling in ("collective", "local_alice"):
             spec = SweepSpec(channel, coupling, r_values=tuple(r_values), p_step=p_step)
             for values in sweep_chunks(spec):
-                labels += [coupling] * len(values)
-                chunks.append(values)
-        col = dict(zip(NUMERIC_COLUMNS, np.concatenate(chunks).T))
-        dev_c = abs(col["n_C_AB"] - col["cf_n_BC_AC"])
-        c_worse = dev_c > col["dev_BC"]
-        candidates = (
-            ("one_tangle_A", col["dev_A"], col["n_A_BC"], col["cf_n_A_BC"]),
-            (
-                "one_tangle_BC",
-                np.where(c_worse, dev_c, col["dev_BC"]),
-                np.where(c_worse, col["n_C_AB"], col["n_B_AC"]),
-                col["cf_n_BC_AC"],
-            ),
-            ("pi_tangle", col["dev_pi"], col["pi_tangle"], col["cf_pi"]),
-        )
-        for quantity, dev, numeric, closed in candidates:
-            # The first worst row, as a scan that replaces only on a strictly larger gap.
-            i = int(np.argmax(dev))
-            checks.append(
-                EquationCheck(
-                    channel,
-                    quantity,
-                    float(dev[i]),
-                    float(col["r"][i]),
-                    float(col["p0"][i]),
-                    labels[i],
-                    float(numeric[i]),
-                    float(closed[i]),
-                )
-            )
+                col = dict(zip(NUMERIC_COLUMNS, values.T))
+                for quantity, dev, numeric, closed in _gaps(col):
+                    # The first worst row, as a scan that replaces only on a strictly larger gap.
+                    i = int(np.argmax(dev))
+                    if quantity not in worst or dev[i] > worst[quantity][0]:
+                        r, p = col["r"][i].item(), col["p0"][i].item()
+                        worst[quantity] = (dev[i].item(), r, p, coupling, numeric[i].item(), closed[i].item())
+        checks += [EquationCheck(channel, quantity, *row) for quantity, row in worst.items()]
     return VerificationReport(
         checks=tuple(checks),
         tolerance=CLOSED_FORM_TOL,

@@ -5,10 +5,12 @@ qubit to its own copy of a channel with its own parameter; setting a
 parameter to zero leaves that qubit untouched.
 
 ``lift`` and ``apply_channel`` are the explicit Kraus route. The batched
-pipeline uses ``dephase_stack``, which applies the same lifted family
-element-wise: every operator is diagonal, so E rho E^dag is rho scaled by
-the diagonal of E on both sides, with the same roundings as the matrix
-products.
+pipeline uses ``dephase_stack``: every lifted operator is diagonal, so the
+channel keeps the diagonal of rho and scales each coherence rho[j, k] by
+the product of the per-qubit ``coherence_factors`` of the qubits on which
+j and k differ. Unlike the Kraus sum (1-p)x - px of a phase-flipped
+coherence x, that product does not cancel, and it is exactly 0.0 where a
+factor is.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ PHASE_FLIP = "phase_flip"
 CHANNEL_KINDS = (PHASE_DAMPING, PHASE_FLIP)
 
 COMPLETENESS_TOL = 1e-12
+
+# _DIFFERS[q, j, k]: whether basis states j and k differ in qubit q (qubit 0
+# is the most significant bit, as in ``lift``'s Kronecker order).
+_BITS = (np.arange(8) >> np.array([[2], [1], [0]])) & 1
+_DIFFERS = _BITS[:, :, None] != _BITS[:, None, :]
 
 
 def _check_p(p: float) -> float:
@@ -153,29 +160,15 @@ def apply_channel(ops, rho) -> np.ndarray:
 
 
 def dephase_stack(flip: np.ndarray, params: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``apply_channel(lift(cfg), rho[i])`` for the cfg of every row i: phase
-    flip where the bool ``flip[i]`` is true, else phase damping, with the
-    parameters ``params[i]``; ``rho`` is (N, 8, 8). Each lifted operator's
-    diagonal is built with the products ``lift`` takes, in its order, and
-    ``out += (d_k[:, None] * rho) * d_k[None, :]`` reproduces E_k rho E_k^dag
-    bit for bit. Completeness is checked on the diagonals. The result keeps
+    """``rho * M`` for the coherence mask M of every row: phase flip where
+    the bool ``flip[i]`` is true, else phase damping, with the parameters
+    ``params[i]``; ``rho`` is (N, 8, 8). ``M[i, j, k]`` is the product of
+    the ``_coherence_factors`` of the qubits on which j and k differ,
+    multiplied in qubit order, and 1 on the diagonal. The result keeps
     ``rho``'s dtype, which is float64 on the report pipeline's route.
     """
-    flip = flip[:, None]
-    keep, kick = np.sqrt(1.0 - params), np.sqrt(params)
-    # Single-qubit diagonals, axes (point, qubit, operator, entry).
-    e0 = np.stack([np.where(flip, keep, 1.0), keep], axis=-1)
-    e1 = np.stack([np.where(flip, kick, 0.0), np.where(flip, -kick, kick)], axis=-1)
-    single = np.stack([e0, e1], axis=2)
-    # diag(E_i x E_j x E_k) = (e_i x e_j) x e_k; axes (point, i, j, k, bit0, bit1, bit2).
-    lifted = (
-        single[:, 0, :, None, None, :, None, None] * single[:, 1, None, :, None, None, :, None]
-    ) * single[:, 2, None, None, :, None, None, :]
-    diags = lifted.reshape(len(params), 8, 8)
-    if np.abs((diags * diags).sum(axis=1) - 1.0).max() > COMPLETENESS_TOL:
-        raise ValueError("Kraus completeness violated")
-    out = np.zeros_like(rho)
-    for k in range(diags.shape[1]):
-        d = diags[:, k]
-        out += (d[:, :, None] * rho) * d[:, None, :]
-    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
+    factors = np.where(
+        flip[:, None], _coherence_factors(PHASE_FLIP, params), _coherence_factors(PHASE_DAMPING, params)
+    )
+    m0, m1, m2 = (np.where(_DIFFERS[q], factors[:, q, None, None], 1.0) for q in range(3))
+    return rho * ((m0 * m1) * m2)

@@ -33,8 +33,6 @@ from .linalg import (
 from .rindler import ghz_rindler_density
 
 CROSS_CHECK_TOL = 1e-10
-# Negativities this far below zero are numerical noise and clamp to 0.
-NEGATIVITY_FLOOR = 1e-10
 # Points per stack in full_reports: enough to spread the per-call Python
 # overhead thin, few enough that peak memory stays near the one-point run's.
 CHUNK = 128
@@ -57,20 +55,24 @@ _SELECTOR_CUTS = {
 
 
 def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
-    """sum(|w|) - 1 over the last axis, cross-checked against 2 * sum(|negative w|)."""
+    """-2 * sum(negative w) over the last axis, cross-checked against sum(|w|) - 1.
+
+    A spectrum without a negative eigenvalue gives exactly +0.0.
+    """
+    from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1) + 0.0
     from_norm = np.abs(w).sum(axis=-1) - 1.0
-    from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1)
     if np.max(np.abs(from_norm - from_negatives)) > CROSS_CHECK_TOL:
         raise RuntimeError("negativity cross-check failed")
-    return from_norm
+    return from_negatives
 
 
 def negativity(rho, subsystem: int, n_qubits: int | None = None) -> float:
     """Trace norm of the partial transpose, minus one.
 
-    The same spectrum is reduced along two routes, sum(|w|) - 1 and
-    2 * sum(|negative w|); they agree only if the transposed matrix kept
-    unit trace, so the comparison runs on every call.
+    The same spectrum is reduced along two routes, 2 * sum(|negative w|)
+    and sum(|w|) - 1; they agree only if the transposed matrix kept unit
+    trace, so the comparison runs on every call. The first is the value:
+    it does not cancel near 0, and it is never negative.
     """
     rho = as_matrix(rho)
     _, n = _checked_keep(rho, (subsystem,), n_qubits)
@@ -95,13 +97,6 @@ def residual(n_one: float, n_pair_x: float, n_pair_y: float) -> float:
 
 def pi_tangle(res_a: float, res_b: float, res_c: float) -> float:
     return (res_a + res_b + res_c) / 3.0
-
-
-def _clamp(x):
-    """Zero out negativities in [-NEGATIVITY_FLOOR, 0); element-wise on arrays."""
-    if np.min(x) < -NEGATIVITY_FLOOR:
-        raise RuntimeError("negativity below tolerance floor")
-    return np.where(x < 0.0, 0.0, x)
 
 
 @dataclass(frozen=True)
@@ -175,12 +170,12 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     phase flip and false for phase damping, and ``params`` (N, 3). Yields a
     ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
     lengths and the parameter range are checked once per call; the other
-    checks (a real state, Kraus completeness, hermiticity, eigensolver
-    convergence, the negativity cross-check and the clamp floor) run on
-    each whole stack. The residuals, pi-tangle and deviations
-    are array arithmetic in the order of their scalar forms, and each closed
-    form is called once per (channel, r) group of the whole input, so a
-    value does not depend on the stack or group it was computed in.
+    checks (a real state, hermiticity, eigensolver convergence and the
+    negativity cross-check) run on each whole stack. The residuals,
+    pi-tangle and deviations are array arithmetic in the order of their
+    scalar forms, and each closed form is called once per (channel, r)
+    group of the whole input, so a value does not depend on the stack or
+    group it was computed in.
     """
     if not len(r) == len(flip) == len(params):
         raise ValueError("r, flip and params differ in length")
@@ -234,10 +229,9 @@ def _closed_forms(values, index, flip, params) -> np.ndarray:
 
 
 def _negativities(rho, cuts) -> np.ndarray:
-    """Clamped negativities of the given cuts of a dephased stack, one row per cut."""
+    """Negativities of the given cuts of a dephased stack, one row per cut."""
     # One cut at a time, so only one stack of partial transposes is alive at once.
-    rows = [_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts]
-    return _clamp(np.stack(rows))
+    return np.stack([_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts])
 
 
 def _cut(rho, k: int) -> np.ndarray:

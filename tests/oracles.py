@@ -103,6 +103,32 @@ def x_state_one_tangles(r: float, kind: str, p0: float, p1: float, p2: float):
     return cut(s**4), cut(c * c * s * s), cut(c * c * s * s)
 
 
+def mp_one_tangles(r: float, kind: str, p0: float, p1: float, p2: float, dps: int = 50):
+    """``x_state_one_tangles`` at ``dps`` significant digits, free of cancellation.
+
+    The inputs are taken as the exact values of their floats. The
+    negativity of each cut is written N = 2 c^4 g^2 / (sqrt(a^2 + 4 c^4 g^2) + a),
+    which equals (sqrt(a^2 + 4 c^4 g^2) - a) / 2 but subtracts nothing, so
+    it keeps its digits for g^2 far below a^2. It is exactly 0 where g is.
+    Returns mpmath numbers.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, p0, p1, p2 = (mpmath.mpf(x) for x in (r, p0, p1, p2))
+        c2, s2 = mpmath.cos(r) ** 2, mpmath.sin(r) ** 2
+        if kind == "phase_flip":
+            g2 = ((1 - 2 * p0) * (1 - 2 * p1) * (1 - 2 * p2)) ** 2
+        else:
+            g2 = (1 - p0) * (1 - p1) * (1 - p2)
+        b = 4 * c2 * c2 * g2
+
+        def cut(a):
+            return mpmath.mpf(0) if b == 0 else b / (2 * (mpmath.sqrt(a * a + b) + a))
+
+        return cut(s2 * s2), cut(c2 * s2), cut(c2 * s2)
+
+
 def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from ghztangle.channels import (
+    CHANNEL_KINDS,
+    PHASE_FLIP,
     CouplingConfig,
     apply_channel,
     coherence_factors,
+    dephase_stack,
     lift,
     phase_damping,
     phase_flip,
@@ -164,6 +167,22 @@ def test_coherence_factors_match_kraus_route():
     f0, f1, f2 = coherence_factors(CouplingConfig("phase_flip", 0.5, 0.8, 0.0))
     assert f0 == 0.0 and f1 < 0.0 and f2 == 1.0
     assert coherence_factors(CouplingConfig("phase_damping", 1.0, 0.36, 0.0)) == (0.0, 0.8, 1.0)
+
+
+def test_dephase_stack_matches_the_kraus_route():
+    # The pipeline's coherence mask and the public lifted Kraus family are
+    # one channel: equal to rounding on random states and parameters, and
+    # equal bit for bit to the element-wise oracle.
+    rng = np.random.default_rng(61)
+    kinds = rng.choice(CHANNEL_KINDS, size=64)
+    params = rng.uniform(0.0, 1.0, size=(64, 3))
+    params[::4] = np.where(rng.uniform(size=(16, 3)) < 0.5, 0.5, 1.0)
+    rho = np.array([random_density_matrix(rng, 8) for _ in kinds])
+    out = dephase_stack(kinds == PHASE_FLIP, params, rho)
+    for kind, p, state, got in zip(kinds, params, rho, out):
+        cfg = CouplingConfig(str(kind), *p)
+        assert np.abs(got - apply_channel(lift(cfg), state)).max() <= 1e-15
+        assert got.tobytes() == dephase_elementwise(state, coherence_factors(cfg)).tobytes()
 
 
 def test_channel_on_ghz_keeps_diagonal():

@@ -317,22 +317,33 @@ _PEAK_RSS = (
 )
 
 
+def _peak_kib(argv) -> int:
+    """The peak resident set of ``ghztangle <argv>`` run in a fresh process, in KiB."""
+    src = Path(ghztangle.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sweep_memory_does_not_grow_with_the_row_count(tmp_path):
     # 2,001 and 20,001 rows: the writer streams one stack at a time, so the
     # larger run holds only its r, channel and parameter arrays more.
-    src = Path(ghztangle.__file__).resolve().parent.parent
-    peaks = []
-    for step in ("0.0005", "0.00005"):
-        argv = ["sweep", "--channel", "phase-flip", "--r", "0.5", "--p-step", step, "--out", str(tmp_path / "x.csv")]
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        peaks.append(int(proc.stdout.split()[-1]))
+    argv = ["sweep", "--channel", "phase-flip", "--r", "0.5", "--out", str(tmp_path / "x.csv"), "--p-step"]
+    peaks = [_peak_kib([*argv, step]) for step in ("0.0005", "0.00005")]
+    assert peaks[1] - peaks[0] < 8 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_verify_memory_does_not_grow_with_the_row_count():
+    # 4,004 and 40,004 rows per coupling and channel: verify folds each stack
+    # into its worst gaps, so the larger run holds only its grid arrays more.
+    peaks = [_peak_kib(["verify", "--p-step", step]) for step in ("0.001", "0.0001")]
     assert peaks[1] - peaks[0] < 8 * 1024
 
 

@@ -25,7 +25,7 @@ R_LIST = "0,0.3926990816987241,0.7853981633974483"
 ESD_DIGESTS = [
     (
         ("--channel", "phase-flip", "--tangle", "pi_tangle"),
-        "369bd3d0dea4c51f9c42f486f4bba987a61e458f5ad11af2f69490c25e815a8f",
+        "f25a06f243164411bf80591349d08b786dc2bcd83ab0dd040049f394117b9e47",
     ),
     (
         ("--channel", "phase-flip", "--tangle", "pi_A", "--coupling", "local-alice"),

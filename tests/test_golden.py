@@ -13,12 +13,11 @@ import pytest
 
 from ghztangle import closedform
 from ghztangle.analysis import DEFAULT_R_VALUES, SweepSpec
-from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, CouplingConfig, apply_channel, lift
+from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, CouplingConfig, coherence_factors
 from ghztangle.cli import main
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
     CHUNK,
-    NEGATIVITY_FLOOR,
     TangleReport,
     full_reports,
     negativity,
@@ -27,18 +26,20 @@ from ghztangle.tangles import (
     two_tangle,
 )
 
+from oracles import dephase_elementwise
+
 FIGURE_DIGESTS = {
     1: {
-        "fig1_collective.csv": "db75d1c1dd0db99bf0e2d7b9d0196a57695004e45b0e021ce8f6d499a9a1a149",
-        "fig1_local_alice.csv": "ab2ec7006a5aa28de50c25811f56ab70937780442a683148e90c803d813486d9",
+        "fig1_collective.csv": "366ce5ed15d0d6449353cabfc95bea16b4e4c0297dc6b2716988f1f87c9b475f",
+        "fig1_local_alice.csv": "84a0282700c0344c71354b797649aea29241a487b2088a420527950f16ba754a",
     },
     2: {
-        "fig2_collective.csv": "9ea0f97812f52fbf4d2b38419ed3984e185d443019a68ca6b166c510dab4b0bc",
-        "fig2_local_alice.csv": "f72d0f88f24fe3ad26b1260f87602455285b27d96af978f93667e74c5c2a0f5b",
+        "fig2_collective.csv": "444b50b4889748826cf3943440b033155007e5fc88e3a8b6712e62bebb92f41c",
+        "fig2_local_alice.csv": "26973eee7e88e9d50f7777500d7d4fd164e7dcb402577761744d6f39da2f2fed",
     },
     3: {
-        "fig3_phase_damping.csv": "e6548e7c5912286f3d157dff125299a8260b5c3568cc0d68a272f1ccea7c1120",
-        "fig3_phase_flip.csv": "4ecc383ce63abc28898e52c34e7474e7bbc70cc3212a63ec06ea8283707c8b2b",
+        "fig3_phase_damping.csv": "9a6526bc18c0427323175d209bc3d6f6c1dd80e07c074ed8f0b22c24e2360e5e",
+        "fig3_phase_flip.csv": "da25907695369b00cd50b261d60a657c239b15fe167589430e80927b11831d37",
     },
 }
 
@@ -53,11 +54,11 @@ STDOUT_DIGESTS = [
 SWEEP_DIGESTS = [
     (
         ("--channel", "phase-damping", "--coupling", "custom", "--weights", "1,0.5,0.25"),
-        "d2342db84928288394517452047030bd9525bf3bb587bb3aa7167b562fda2610",
+        "6d91e770ca7a452d83d56289cfa5d4c1fb78ae74f65f904fb7d77ec009475712",
     ),
     (
         ("--channel", "phase-flip", "--coupling", "custom", "--weights", "0.3,1,0", "--format", "json"),
-        "1a36b4697b9695b2ba256a8423ae80c409dc4a0dcea4c9c38c64d5320f5c92ec",
+        "58a6149dfe59f47cff409a9f79d2c2acbb31bacdeaff740bc8e7ca9d0887b03e",
     ),
 ]
 
@@ -89,18 +90,12 @@ def test_sweep_file_is_byte_identical(argv, digest, tmp_path, capsys):
     assert _sha256(out) == digest
 
 
-def _clamp(x):
-    if x < -NEGATIVITY_FLOOR:
-        raise RuntimeError("negativity below tolerance floor")
-    return 0.0 if x < 0.0 else x
-
-
 def _public_route_report(r, cfg):
-    # One point at a time through the explicit Kraus route and the
-    # single-matrix eigensolver: the pipeline as it was before batching.
-    rho = apply_channel(lift(cfg), ghz_rindler_density(r, r))
-    n_a, n_b, n_c = (_clamp(negativity(rho, q, 3)) for q in range(3))
-    n_ab, n_ac, n_bc = (_clamp(two_tangle(rho, pair, 3)) for pair in ((0, 1), (0, 2), (1, 2)))
+    # One point at a time through the element-wise oracle channel and the
+    # single-matrix eigensolver: the pipeline without batching.
+    rho = dephase_elementwise(ghz_rindler_density(r, r), coherence_factors(cfg))
+    n_a, n_b, n_c = (negativity(rho, q, 3) for q in range(3))
+    n_ab, n_ac, n_bc = (two_tangle(rho, pair, 3) for pair in ((0, 1), (0, 2), (1, 2)))
     pi_a = residual(n_a, n_ab, n_ac)
     pi_b = residual(n_b, n_ab, n_bc)
     pi_c = residual(n_c, n_ac, n_bc)

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from ghztangle import analysis, linalg, tangles
 from ghztangle.analysis import SweepSpec, find_esd, sweep_chunks
-from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, apply_channel, dephase_stack, lift
+from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, coherence_factors, dephase_stack
 from ghztangle.linalg import hermitian_eigenvalues_stack
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity
 
-from oracles import random_hermitian
+from oracles import dephase_elementwise, random_hermitian
 
 SPECIAL_R = (0.0, math.pi / 8, math.pi / 4)
 LADDER = [0.5 + s * 10.0**-k for k in range(1, 16) for s in (-1.0, 1.0)] + [0.0, 1.0]
@@ -111,7 +111,8 @@ def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
     # off-diagonal norm, sqrt(2)|c|, passes the stop test; its embedding's,
     # 2|c|, does not, and the embedded solve rotates the block to +-|c|.
     p = 0.5 - 6e-14
-    rho = apply_channel(lift(CouplingConfig.local_alice(PHASE_FLIP, p)), ghz_rindler_density(0.0, 0.0))
+    factors = coherence_factors(CouplingConfig.local_alice(PHASE_FLIP, p))
+    rho = dephase_elementwise(ghz_rindler_density(0.0, 0.0), factors)
     (row,) = next(tangles.report_chunks(np.zeros(1), np.ones(1, dtype=bool), np.array([[p, 0.0, 0.0]])))
     assert row[4] == negativity(rho, 0) > 1e-13
 

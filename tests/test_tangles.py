@@ -136,13 +136,6 @@ def test_residual_arithmetic():
     assert pi_tangle(0.3, 0.2, 0.1) == pytest.approx(0.2)
 
 
-def test_clamp_behaviour():
-    assert tangles._clamp(-1e-12) == 0.0
-    assert tangles._clamp(0.25) == 0.25
-    with pytest.raises(RuntimeError, match="below tolerance floor"):
-        tangles._clamp(-1e-6)
-
-
 def _report(r, kind, coupling, p):
     cfg = getattr(CouplingConfig, coupling)(kind, p)
     return full_report(r, cfg)
