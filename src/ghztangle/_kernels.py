@@ -1,24 +1,29 @@
-"""Cyclic Jacobi sweep kernels for real symmetric matrices.
+"""Cyclic Jacobi sweep kernels for Hermitian matrices.
 
 ``jacobi_sweeps`` diagonalizes one matrix in place: ``a`` ends up with the
 eigenvalues on its diagonal and, when ``v`` is given, ``v`` accumulates the
 rotations (columns are eigenvectors). It returns the number of completed
-sweeps, or -1 if the off-diagonal Frobenius norm is still above ``off_tol``
-after ``max_sweeps`` sweeps. It works on Python floats: each rotation
-computes the new columns p and q and mirrors them into rows p and q, which
-is exact for a symmetric matrix. A rotation is then a few list
-comprehensions, where numpy slices cost about 25 calls per rotation.
+sweeps, or -1 if the off-diagonal norm is still above ``off_tol`` after
+``max_sweeps`` sweeps. It works on Python numbers, floats for a real input
+and complex for a complex one, with the complex rotation of Forsythe and
+Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g`` real and
+``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase. A real
+pivot has ``u = 1``, so a real matrix gets the real rotation's arithmetic.
+Each rotation computes the new rows p and q and mirrors them into columns
+p and q, which is exact for a Hermitian matrix: a few list comprehensions,
+where numpy slices cost about 25 calls per rotation.
 
 ``jacobi_sweeps_batched`` runs the same rotation sequence on a whole stack
-of matrices at once, in numpy, without eigenvectors; it is what the batched
-report pipeline uses. Both kernels round every entry with the same IEEE
-operations (a separate multiply and subtract, correctly rounded square
-roots) in the same order, so their diagonals and sweep counts are
-bit-identical. So are the other entries, but for the sign of a zero where
-the input holds 0.0 and -0.0 at mirrored places: the batched kernel updates
-rows and columns separately and keeps the two apart. A single matrix stays
-on ``jacobi_sweeps``: as a stack of one, the batched kernel's per-rotation
-numpy calls make a dense 16x16 solve 10-14 times slower.
+of real matrices at once, in numpy, without eigenvectors; it is what the
+batched report pipeline uses. Both kernels stop on ``_off_norms`` and round
+every entry with the same IEEE operations (a separate multiply and
+subtract, correctly rounded square roots) in the same order, so on a real
+matrix their diagonals and sweep counts are bit-identical. So are the
+other entries, but for the sign of a zero where the input holds 0.0 and
+-0.0 at mirrored places: the batched kernel updates rows and columns
+separately and keeps the two apart. A single matrix stays on
+``jacobi_sweeps``: as a stack of one, the batched kernel's per-rotation
+numpy calls make a dense 8x8 solve 13-15 times slower.
 """
 
 from __future__ import annotations
@@ -33,25 +38,26 @@ BIG_THETA = 1e150
 
 
 def jacobi_sweeps(a, v, off_tol, max_sweeps):
-    """Cyclic Jacobi sweeps on one symmetric matrix, on Python floats.
+    """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
     Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
-    them. ``a`` must be exactly symmetric, as every matrix either kernel
-    gets is: symmetrized as ``(m + m^dag) / 2``, then embedded if complex.
-    Symmetry is what lets one rotation compute only the new columns p and q
-    and mirror them into rows p and q.
+    them. ``a`` must be exactly Hermitian, as every matrix either kernel
+    gets is: symmetrized as ``(m + m^dag) / 2``. That is what lets one
+    rotation compute only the new rows p and q and mirror them into
+    columns p and q.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("jacobi_sweeps needs a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("jacobi_sweeps needs an exactly symmetric matrix")
+    if not np.array_equal(a, a.conj().T):
+        raise ValueError("jacobi_sweeps needs an exactly symmetric (Hermitian) matrix")
     n = a.shape[0]
     rows = a.tolist()
+    for i, row in enumerate(rows):
+        row[i] = row[i].real
     vcols = None if v is None else v.T.tolist()
     sweeps = -1
     for sweep in range(max_sweeps + 1):
-        off = np.sqrt(2.0 * (np.triu(np.array(rows), 1) ** 2).sum())
-        if off <= off_tol:
+        if _off_norms(np.array(rows)) <= off_tol:
             sweeps = sweep
             break
         if sweep == max_sweeps:
@@ -63,7 +69,10 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
                 apq = row_p[q]
                 if apq == 0.0:
                     continue
-                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
+                # apq = g * u with |u| = 1; a real pivot has g = apq, u = 1.
+                g = math.copysign(abs(apq), apq.real)
+                u = apq / g
+                theta = (row_q[q] - row_p[p]) / (2.0 * g)
                 if abs(theta) > BIG_THETA:
                     t = 0.5 / abs(theta)
                 else:
@@ -71,40 +80,42 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Rows p and q equal columns p and q, so these are the new
-                # columns; the 2x2 block then takes the row update as well.
-                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
-                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
-                app = c * new_p[p] - s * new_p[q]
-                aqq = s * new_q[p] + c * new_q[q]
+                su = t * c * u
+                sv = su.conjugate()
+                # The new rows p and q; the 2x2 block then takes the column
+                # update as well, and the other columns mirror the rows.
+                new_p = [c * x - su * y for x, y in zip(row_p, row_q)]
+                new_q = [sv * x + c * y for x, y in zip(row_p, row_q)]
+                app = (c * new_p[p] - sv * new_p[q]).real
+                aqq = (su * new_q[p] + c * new_q[q]).real
                 new_p[p] = app
                 new_q[q] = aqq
                 new_p[q] = new_q[p] = 0.0
                 rows[p] = new_p
                 rows[q] = new_q
                 for row, x, y in zip(rows, new_p, new_q):
-                    row[p] = x
-                    row[q] = y
+                    row[p] = x.conjugate()
+                    row[q] = y.conjugate()
                 if vcols is not None:
                     vec_p = vcols[p]
                     vec_q = vcols[q]
-                    vcols[p] = [c * x - s * y for x, y in zip(vec_p, vec_q)]
-                    vcols[q] = [s * x + c * y for x, y in zip(vec_p, vec_q)]
+                    vcols[p] = [c * x - sv * y for x, y in zip(vec_p, vec_q)]
+                    vcols[q] = [su * x + c * y for x, y in zip(vec_p, vec_q)]
     a[...] = rows
     if vcols is not None:
         v[...] = np.array(vcols).T
     return sweeps
 
 
-def _off_norms(a, blocks):
-    # Per matrix, the same sum as jacobi_sweeps', in the same order. numpy
-    # sums two 8x8 copies as twice one, so blocks=2 is then exact too.
-    upper = np.triu(a, 1)
-    return np.sqrt(2.0 * blocks * np.square(upper, out=upper).sum(axis=(1, 2)))
+def _off_norms(a):
+    # sqrt(4 * sum_{p<q} |a_pq|^2) over the last two axes: the off-diagonal
+    # Frobenius norm of the real embedding [[Re, -Im], [Im, Re]], the one
+    # linalg.OFF_DIAGONAL_TOL was set against. Both kernels stop on it.
+    upper = np.abs(np.triu(a, 1))
+    return np.sqrt(4.0 * np.square(upper, out=upper).sum(axis=(-2, -1)))
 
 
-def jacobi_sweeps_batched(a, off_tol, max_sweeps, blocks=1):
+def jacobi_sweeps_batched(a, off_tol, max_sweeps):
     """``jacobi_sweeps`` over an (N, n, n) stack, eigenvalues only.
 
     Every matrix goes through exactly the rotations the single-matrix kernel
@@ -112,15 +123,13 @@ def jacobi_sweeps_batched(a, off_tol, max_sweeps, blocks=1):
     the matrices that are still unconverged and have a nonzero pivot, so
     each result is bit-identical to a separate call. Returns an int array
     of per-matrix sweep counts, -1 where ``max_sweeps`` was not enough.
-    ``blocks = k`` solves each matrix as the block diagonal of k copies of
-    it, such as a real matrix's complex embedding (k = 2): the rotations
-    are one copy's, and the stop test takes the copies' off-diagonal norm.
+    The stack must be real: the batched kernel has no complex rotation.
     """
     count, n = a.shape[0], a.shape[1]
     sweeps = np.full(count, -1, dtype=np.int64)
     live = np.ones(count, dtype=bool)
     for sweep in range(max_sweeps + 1):
-        done = live & (_off_norms(a, blocks) <= off_tol)
+        done = live & (_off_norms(a) <= off_tol)
         sweeps[done] = sweep
         live &= ~done
         if sweep == max_sweeps or not live.any():

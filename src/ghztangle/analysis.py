@@ -24,6 +24,8 @@ BISECT_WIDTH = 1e-7
 _LOOKAHEAD = 4
 
 CLOSED_FORM_TOL = 1e-9
+# verify's worst gaps closer than this, relatively, are a tie: the first is kept.
+_TIE_TOL = 1e-12
 
 # Largest (r, p) grid a SweepSpec accepts. A sweep holds its r, channel,
 # parameter and closed-form arrays whole, and CHUNK rows of everything else.
@@ -313,9 +315,10 @@ def verify(
             for values in sweep_chunks(spec):
                 col = dict(zip(NUMERIC_COLUMNS, values.T))
                 for quantity, dev, numeric, closed in _gaps(col):
-                    # The first worst row, as a scan that replaces only on a strictly larger gap.
-                    i = int(np.argmax(dev))
-                    if quantity not in worst or dev[i] > worst[quantity][0]:
+                    # Under phase flip the gaps at p and 1 - p differ by rounding
+                    # only; the first of the tied worst rows is the one reported.
+                    i = int(np.argmax(dev >= dev.max() * (1.0 - _TIE_TOL)))
+                    if quantity not in worst or dev[i] > worst[quantity][0] * (1.0 + _TIE_TOL):
                         r, p = col["r"][i].item(), col["p0"][i].item()
                         worst[quantity] = (dev[i].item(), r, p, coupling, numeric[i].item(), closed[i].item())
         checks += [EquationCheck(channel, quantity, *row) for quantity, row in worst.items()]

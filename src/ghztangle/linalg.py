@@ -4,19 +4,19 @@ Public functions take numpy complex128 arrays. Qubit ordering convention
 used throughout the package: qubit 0 is the most significant tensor factor,
 so the computational basis state |abc> of three qubits sits at index 4a+2b+c.
 
-The Hermitian eigensolver embeds a d x d Hermitian matrix as the 2d x 2d
-real symmetric matrix [[Re, -Im], [Im, Re]] and runs cyclic Jacobi sweeps
-(see ``_kernels``). Each eigenvalue shows up twice in the embedded
-spectrum; sorted, consecutive entries are paired and averaged. A real A
-embeds as A (+) A, whose sweeps are A's own, so it is solved as it is.
+The Hermitian eigensolver runs cyclic Jacobi sweeps on the matrix as it
+is (see ``_kernels``): one complex rotation, which on a real matrix does
+the real rotation's arithmetic, so a real matrix and its complex copy get
+the same eigenvalues bit for bit.
 
 Functions named ``*_stack`` are the internal forms behind the public ones:
-they act on the last two axes of an (N, d, d) stack, real or complex, take
-trusted input and skip the argument checks. The report pipeline's are real.
-A public function coerces its input with ``as_matrix`` and checks its
-arguments with ``_checked_keep``, once; ``tangles.negativity`` and
-``tangles.two_tangle`` do the same and then call ``_eigenvalues``. The
-numeric checks (hermiticity, convergence, pairing) run on every solve.
+they act on the last two axes of an (N, d, d) stack, take trusted input
+and skip the argument checks; ``hermitian_eigenvalues_stack`` takes real
+stacks only, as the report pipeline's are. A public function coerces its
+input with ``as_matrix`` and checks its arguments with ``_checked_keep``,
+once; ``tangles.negativity`` and ``tangles.two_tangle`` do the same and
+then call ``_eigenvalues``. The numeric checks (hermiticity, convergence)
+run on every solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from . import _kernels
 HERMITICITY_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-13
 MAX_SWEEPS = 100
-PAIR_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -105,38 +104,17 @@ def _checked_hermitian(m: np.ndarray) -> np.ndarray:
     return mh
 
 
-def _embed_real(h: np.ndarray) -> np.ndarray:
-    # [[Re, -Im], [Im, Re]] is symmetric when h is Hermitian. Filled in
-    # place, without temporaries the size of the embedding.
-    d = h.shape[-1]
-    out = np.empty(h.shape[:-2] + (2 * d, 2 * d))
-    out[..., :d, :d] = out[..., d:, d:] = h.real
-    out[..., d:, :d] = h.imag
-    np.negative(h.imag, out=out[..., :d, d:])
-    return out
-
-
-def _run_jacobi(s: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    # Diagonalizes s; rotations are accumulated in v when one is given.
-    a = np.ascontiguousarray(s, dtype=np.float64)
-    sweeps = _kernels.jacobi_sweeps(a, v, OFF_DIAGONAL_TOL, MAX_SWEEPS)
+def _run_jacobi(h: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    # Diagonalizes h in place; rotations are accumulated in v when one is given.
+    sweeps = _kernels.jacobi_sweeps(h, v, OFF_DIAGONAL_TOL, MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError("eigensolver did not converge")
-    return np.diag(a).copy()
-
-
-def _paired(w_doubled: np.ndarray) -> np.ndarray:
-    w = np.sort(w_doubled)
-    lo, hi = w[..., 0::2], w[..., 1::2]
-    if np.max(hi - lo) > PAIR_TOL:
-        raise RuntimeError("eigenvalue pairing failed")
-    return (lo + hi) / 2.0
+    return np.diag(h).real.copy()
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
-    w_doubled = _run_jacobi(_embed_real(_checked_hermitian(m)))
-    return _paired(w_doubled)
+    return np.sort(_run_jacobi(_checked_hermitian(m)))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -145,63 +123,26 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every matrix in a stack, one row each.
+    """Ascending eigenvalues of every matrix in a float64 stack, one row each.
 
-    A complex stack takes the embedding and pairing of
-    ``hermitian_eigenvalues``; a float64 stack its own sweeps, with the
-    embedding's stop test. Rows are bit-identical to the single-matrix
-    result (real ones for 8 x 8 or diagonal input); ``m`` is not changed.
+    Rows are bit-identical to ``hermitian_eigenvalues`` of a complex copy of
+    each matrix; ``m`` is not changed.
     """
+    if m.dtype != np.float64:
+        raise TypeError("hermitian_eigenvalues_stack needs a float64 stack")
     h = _checked_hermitian(m)
-    embed = np.iscomplexobj(h)
-    a = _embed_real(h) if embed else h
-    if (_kernels.jacobi_sweeps_batched(a, OFF_DIAGONAL_TOL, MAX_SWEEPS, 1 if embed else 2) < 0).any():
+    if (_kernels.jacobi_sweeps_batched(h, OFF_DIAGONAL_TOL, MAX_SWEEPS) < 0).any():
         raise RuntimeError("eigensolver did not converge")
-    w = np.diagonal(a, axis1=-2, axis2=-1)
-    return _paired(w) if embed else np.sort(w)
+    return np.sort(np.diagonal(h, axis1=-2, axis2=-1))
 
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns). Internal use.
-
-    A real embedded eigenvector (x, y) maps back to the complex vector
-    x + iy; within a degenerate cluster the complexified candidates are
-    Gram-Schmidt filtered, since the two partners of one pair complexify
-    to parallel vectors.
-    """
+    """Ascending eigenvalues and orthonormal eigenvectors (columns). Internal use."""
     h = _checked_hermitian(as_matrix(m))
-    d = h.shape[0]
-    v = np.eye(2 * d)
-    w_doubled = _run_jacobi(_embed_real(h), v)
-    order = np.argsort(w_doubled, kind="stable")
-    w_sorted = w_doubled[order]
-    v_sorted = v[:, order]
-    values = _paired(w_doubled)
-
-    vectors = np.zeros((d, d), dtype=np.complex128)
-    found = 0
-    start = 0
-    while start < 2 * d:
-        stop = start + 1
-        while stop < 2 * d and w_sorted[stop] - w_sorted[stop - 1] <= PAIR_TOL:
-            stop += 1
-        needed = (stop - start) // 2
-        kept = 0
-        for j in range(start, stop):
-            if kept == needed:
-                break
-            cand = v_sorted[:d, j] + 1j * v_sorted[d:, j]
-            for k in range(found):
-                cand = cand - (vectors[:, k].conj() @ cand) * vectors[:, k]
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                vectors[:, found] = cand / norm
-                found += 1
-                kept += 1
-        if kept != needed:
-            raise RuntimeError("eigenvector extraction failed")
-        start = stop
-    return values, vectors
+    v = np.eye(h.shape[0], dtype=np.complex128)
+    w = _run_jacobi(h, v)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
 
 
 def trace_norm(m) -> float:

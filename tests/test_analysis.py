@@ -248,6 +248,16 @@ def test_verify_accelerated_grid_reports_deviations():
     assert dev.max_dev > rep.tolerance
 
 
+def test_verify_reports_the_first_of_mirrored_worst_points():
+    # Under phase flip the gaps at p and 1 - p agree up to rounding, so the
+    # reported point is the first of the tied pair, not the one that
+    # happens to round larger.
+    rep = verify(r_values=(0.0, 0.3), p_step=0.02)
+    at = {c.quantity: (c.r_at, c.p_at) for c in rep.checks if c.channel == "phase_flip"}
+    assert at["one_tangle_A"] == (0.3, 0.42)
+    assert at["one_tangle_BC"] == (0.3, 0.32)
+
+
 def test_verify_metadata():
     rep = verify(r_values=(0.0,), p_step=0.25)
     assert rep.tolerance == CLOSED_FORM_TOL

@@ -73,3 +73,22 @@ def test_benchmark_requests_pass_their_checks_twice(workloads, name, tmp_path, c
             result = workload.call(req)
             assert workload.check(req, workload.collect(req, result)) == 0, req.describe()
     capsys.readouterr()
+
+
+def test_kernel_hook_sees_one_solve_per_cut_at_its_own_size(tracer, workloads, tmp_path):
+    # The tracer reads a solve's size from the first argument of
+    # _kernels.jacobi_sweeps. A dense state's three one-vs-rest cuts are
+    # 8x8 and its three pair cuts 4x4, each solved as it is.
+    workload = workloads.WORKLOADS["dense_states"](1, "tiny", str(tmp_path))
+    req = workload.requests[0]
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        result = workload.call(req)
+    finally:
+        recorder.uninstall()
+    assert workload.check(req, workload.collect(req, result)) == 0
+    jacobi = tracer.aggregate(recorder.take())["kernels.jacobi_sweeps"]
+    assert jacobi["calls"] == 6
+    assert (jacobi["calls_n8"], jacobi["calls_n16"]) == (3, 0)
+    assert jacobi["sweeps"] > 0

@@ -6,6 +6,7 @@ import pytest
 from ghztangle import _kernels
 from ghztangle.channels import CouplingConfig, apply_channel, lift
 from ghztangle.linalg import (
+    hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     partial_trace,
     partial_trace_stack,
@@ -69,6 +70,40 @@ def test_budget_exhausted_returns_minus_one(kernel):
     s = _embed(random_hermitian(rng, 8))
     _, _, sweeps = _run(kernel, s, max_sweeps=0)
     assert sweeps == -1
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_complex_input_matches_numpy_eigvalsh(d):
+    rng = np.random.default_rng(109 + d)
+    for _ in range(20):
+        h = random_hermitian(rng, d)
+        a = h.copy()
+        v = np.eye(d, dtype=np.complex128)
+        sweeps = _kernels.jacobi_sweeps(a, v, 1e-13, 100)
+        assert sweeps > 0
+        assert not np.diag(a).imag.any()
+        assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(h)).max() <= 1e-11
+        # v holds the accumulated unitary rotations: v^H h v is diagonal.
+        m = v.conj().T @ h @ v
+        assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+
+
+def test_complex_budget_exhausted_returns_minus_one():
+    h = random_hermitian(np.random.default_rng(107), 8)
+    assert _kernels.jacobi_sweeps(h, None, 1e-13, 0) == -1
+
+
+def test_huge_rotation_angle_with_an_imaginary_pivot_is_silent():
+    # The pivot is g * u with g = 1e-200 and u = 1j, so theta = 5e199 as in
+    # the real case; the rotation must take the large-angle branch on g.
+    s = np.array([[1.0, 1e-200j, 0.5], [-1e-200j, 0.0, 0.25j], [0.5, -0.25j, 2.0]])
+    a = s.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweeps = _kernels.jacobi_sweeps(a, None, 1e-13, 100)
+    assert sweeps > 0
+    assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(s)).max() <= 1e-12
 
 
 def _figure3_embeddings():
@@ -146,9 +181,12 @@ def test_single_kernel_without_vectors_is_bitwise(stack):
 
 
 def test_public_tangles_equal_the_batched_stack_route():
-    # The dense_states shape: random 3-qubit states of rank 1, 2, 4 and 8.
+    # The dense_states shape, made real: the symmetrized real parts of random
+    # 3-qubit states of rank 1, 2, 4 and 8, which are states too. The public
+    # route solves each as a complex matrix, the stack route as a real one.
     rng = np.random.default_rng(127)
-    rhos = np.array([_low_rank_state(rng, 8, rank) for rank in (1, 2, 4, 8) for _ in range(4)])
+    rhos = np.array([_low_rank_state(rng, 8, rank) for rank in (1, 2, 4, 8) for _ in range(4)]).real
+    rhos = (rhos + np.swapaxes(rhos, -1, -2)) / 2.0
     for q in range(3):
         pt = partial_transpose_stack(rhos, q, 3)
         stacked = _negativity_from_spectra(hermitian_eigenvalues_stack(pt))
@@ -157,6 +195,34 @@ def test_public_tangles_equal_the_batched_stack_route():
         pt = partial_transpose_stack(partial_trace_stack(rhos, pair, 3), 0, 2)
         stacked = _negativity_from_spectra(hermitian_eigenvalues_stack(pt))
         assert [two_tangle(rho, pair, 3) for rho in rhos] == stacked.tolist()
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_dense_real_stacks_equal_the_public_route_bytewise(d):
+    rng = np.random.default_rng(131 + d)
+    stack = rng.normal(size=(200, d, d)) * 10.0 ** rng.integers(-14, 1, size=(200, 1, 1))
+    stack = stack + np.swapaxes(stack, -1, -2)
+    stacked = hermitian_eigenvalues_stack(stack)
+    for i, m in enumerate(stack.astype(np.complex128)):
+        assert stacked[i].tobytes() == hermitian_eigenvalues(m).tobytes(), i
+
+
+def test_stack_and_public_routes_agree_at_the_stop_test_boundary():
+    # A real 4x4 whose off-diagonal norm rounds to 1.0000000000000002e-13,
+    # one ulp above the tolerance; summed over the entries of its 8x8 real
+    # embedding, the same norm rounds to 1e-13 and passes. Both routes take
+    # the one norm, so both rotate the matrix.
+    upper = [
+        2.935946707041365e-14, -6.395228869243195e-15, -2.8256492050061733e-14,
+        1.8230228025601782e-14, 1.814994840284168e-14, 1.1701775813304646e-14,
+    ]  # fmt: skip
+    a = np.zeros((4, 4))
+    a[np.triu_indices(4, 1)] = upper
+    a += a.T
+    assert _kernels._off_norms(a) == 1.0000000000000002e-13
+    stacked = hermitian_eigenvalues_stack(a[None])[0]
+    assert stacked.tobytes() == hermitian_eigenvalues(a.astype(np.complex128)).tobytes()
+    assert np.abs(stacked).max() > 1e-14
 
 
 @pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
@@ -212,8 +278,10 @@ def test_overflowing_rotation_angle_is_silent(kernel):
         np.zeros((2, 3, 3)),
         np.random.default_rng(131).normal(size=(6, 6)),
         np.array([[1.0, 2.0], [2.0 + 2.0**-51, 1.0]]),
+        # One ulp off Hermitian in an imaginary part; the real part is symmetric.
+        np.array([[1.0, 2.0 + 1.0j], [2.0 - (1.0 + 2.0**-52) * 1j, 1.0]]),
     ],
-    ids=["not-square", "not-2d", "random", "one-ulp"],
+    ids=["not-square", "not-2d", "random", "one-ulp", "complex-one-ulp"],
 )
 def test_single_kernel_rejects_a_matrix_that_is_not_symmetric(s):
     # The mirrored update would silently give a wrong spectrum here.

@@ -3,7 +3,8 @@
 The accelerated GHZ state and both channels' Kraus operators are real, so
 ``tangles.report_chunks`` and ``tangles._selected`` run from the built
 state to the spectra in float64, and ``hermitian_eigenvalues_stack``
-solves each real cut as it is instead of its complex embedding.
+solves each real cut with the batched kernel, bit for bit as the public
+single-matrix route solves a complex copy of it.
 """
 
 import math
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghztangle import analysis, linalg, tangles
+from ghztangle import _kernels, analysis, tangles
 from ghztangle.analysis import SweepSpec, find_esd, sweep_chunks
 from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, coherence_factors, dephase_stack
-from ghztangle.linalg import hermitian_eigenvalues_stack
+from ghztangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_stack
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity
 
@@ -48,13 +49,21 @@ def test_find_esd_builds_the_state_once(channel, monkeypatch):
 
 
 def test_stack_eigensolver_leaves_its_input_unchanged():
+    # The stack route takes real stacks only; a complex matrix goes to the
+    # single-matrix route, which must not change its input either.
     rng = np.random.default_rng(7)
     complex_stack = np.array([random_hermitian(rng, 8) for _ in range(4)])
     real_stack = complex_stack.real + np.swapaxes(complex_stack.real, -1, -2)
-    for stack in (real_stack, complex_stack):
-        before = stack.copy()
-        hermitian_eigenvalues_stack(stack)
-        assert stack.tobytes() == before.tobytes()
+    before = real_stack.copy()
+    hermitian_eigenvalues_stack(real_stack)
+    assert real_stack.tobytes() == before.tobytes()
+    before = complex_stack.copy()
+    for m in complex_stack:
+        hermitian_eigenvalues(m)
+    assert complex_stack.tobytes() == before.tobytes()
+    with pytest.raises(TypeError, match="float64"):
+        hermitian_eigenvalues_stack(complex_stack)
+    assert complex_stack.tobytes() == before.tobytes()
 
 
 def _with_imaginary_coherence(rb, rc):
@@ -91,25 +100,28 @@ def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
 @example(kind="phase_damping", r=0.0, extra=[])
 @example(kind="phase_damping", r=math.pi / 8, extra=[])
 @example(kind="phase_damping", r=math.pi / 4, extra=[])
-def test_real_cuts_solve_as_their_complex_embeddings(kind, r, extra):
-    # The embedded off-diagonal norm is sqrt(2) times the real one, against
-    # the same absolute tolerance; near p = 1/2 the coherence is near it.
+def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
+    # The batched real kernel against the single complex one, which does the
+    # same arithmetic on a real pivot and stops on the same norm; near
+    # p = 1/2 the coherence is near the absolute stop tolerance.
     params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
     state = ghz_rindler_density(r, r).real
     rho = dephase_stack(np.full(len(params), kind == PHASE_FLIP), params, np.repeat(state[None], len(params), axis=0))
     assert rho.dtype == np.float64
     for k in range(6):
         cut = tangles._cut(rho, k)
-        real = hermitian_eigenvalues_stack(cut)
-        embedded = hermitian_eigenvalues_stack(cut.astype(np.complex128))
-        assert real.tobytes() == embedded.tobytes(), (k, r)
+        stacked = hermitian_eigenvalues_stack(cut)
+        for i, m in enumerate(cut.astype(np.complex128)):
+            assert stacked[i].tobytes() == hermitian_eigenvalues(m).tobytes(), (k, r, i)
 
 
 def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
     # At r = 0 the A|BC cut holds the block [[0, c], [c, 0]], with
-    # c = (1 - 2p) / 2 under local-Alice phase flip: here about 6e-14. Its
-    # off-diagonal norm, sqrt(2)|c|, passes the stop test; its embedding's,
-    # 2|c|, does not, and the embedded solve rotates the block to +-|c|.
+    # c = (1 - 2p) / 2 under local-Alice phase flip: here about 6e-14. The
+    # Frobenius norm of its off-diagonal part, sqrt(2)|c|, would pass the
+    # stop test; the kernels' norm, 2|c| (that of the cut's real embedding,
+    # against which the tolerance was set), does not, and both routes
+    # rotate the block to +-|c|.
     p = 0.5 - 6e-14
     factors = coherence_factors(CouplingConfig.local_alice(PHASE_FLIP, p))
     rho = dephase_elementwise(ghz_rindler_density(0.0, 0.0), factors)
@@ -117,12 +129,11 @@ def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
     assert row[4] == negativity(rho, 0) > 1e-13
 
 
-def test_the_stack_route_never_embeds(monkeypatch):
+def test_the_stack_route_never_calls_the_single_kernel(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the float64 stack route took the complex embedding")
+        raise AssertionError("the float64 stack route solved a matrix on its own")
 
-    monkeypatch.setattr(linalg, "_embed_real", refuse)
-    monkeypatch.setattr(linalg, "_paired", refuse)
+    monkeypatch.setattr(_kernels, "jacobi_sweeps", refuse)
     r_grid = tuple(i * (math.pi / 160.0) for i in range(41))
     for channel in CHANNEL_KINDS:
         spec = SweepSpec(channel, "collective", r_values=r_grid, p_step=0.025)
