@@ -2,28 +2,28 @@
 
 ``jacobi_sweeps`` diagonalizes one matrix in place: ``a`` ends up with the
 eigenvalues on its diagonal and, when ``v`` is given, ``v`` accumulates the
-rotations (columns are eigenvectors). It returns the number of completed
-sweeps, or -1 if the off-diagonal norm is still above ``off_tol`` after
-``max_sweeps`` sweeps. It works on Python numbers, floats for a real input
-and complex for a complex one, with the complex rotation of Forsythe and
-Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g`` real and
-``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase. A real
-pivot has ``u = 1``, so a real matrix gets the real rotation's arithmetic.
-Each rotation computes the new rows p and q and mirrors them into columns
-p and q, which is exact for a Hermitian matrix: a few list comprehensions,
-where numpy slices cost about 25 calls per rotation.
+rotations (columns are eigenvectors). It works on Python numbers, floats
+for a real input and complex for a complex one, with the complex rotation
+of Forsythe and Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g``
+real and ``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase,
+so a real pivot (``u = 1``) gets the real rotation's arithmetic. Each
+rotation computes the new rows p and q and mirrors them into columns p and
+q, which is exact for a Hermitian matrix: a few list comprehensions, where
+numpy slices cost about 25 calls per rotation.
 
-``jacobi_sweeps_batched`` runs the same rotation sequence on a whole stack
-of real matrices at once, in numpy, without eigenvectors; it is what the
-batched report pipeline uses. Both kernels stop on ``_off_norms`` and round
-every entry with the same IEEE operations (a separate multiply and
-subtract, correctly rounded square roots) in the same order, so on a real
-matrix their diagonals and sweep counts are bit-identical. So are the
+Both kernels skip a pivot that is negligible against its own diagonal,
+``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and Veselic, SIAM J.
+Matrix Anal. Appl. 13, 1992), and stop after a sweep that rotates nothing.
+They return the number of sweeps that rotated something, or -1 if
+``max_sweeps`` were not enough.
+
+``jacobi_sweeps_batched`` runs the same rotations on a stack of real
+matrices in numpy, without eigenvectors; the report pipeline uses it. Both
+kernels round with the same IEEE operations in the same order, so on a
+real matrix their diagonals and sweep counts are bit-identical. So are the
 other entries, but for the sign of a zero where the input holds 0.0 and
--0.0 at mirrored places: the batched kernel updates rows and columns
-separately and keeps the two apart. A single matrix stays on
-``jacobi_sweeps``: as a stack of one, the batched kernel's per-rotation
-numpy calls make a dense 8x8 solve 13-15 times slower.
+-0.0 at mirrored places. As a stack of one, the batched kernel makes a
+dense 8x8 solve 12-21 times slower than ``jacobi_sweeps``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import numpy as np
 # Beyond this |theta|, theta * theta overflows (or nearly does); there
 # sqrt(1 + theta^2) is |theta| to working precision, so t = 1 / (2 |theta|).
 BIG_THETA = 1e150
+EPS = 2.0**-52
 
 
-def jacobi_sweeps(a, v, off_tol, max_sweeps):
+def jacobi_sweeps(a, v, max_sweeps):
     """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
     Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
@@ -51,76 +52,71 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
     if not np.array_equal(a, a.conj().T):
         raise ValueError("jacobi_sweeps needs an exactly symmetric (Hermitian) matrix")
     n = a.shape[0]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     rows = a.tolist()
     for i, row in enumerate(rows):
         row[i] = row[i].real
     vcols = None if v is None else v.T.tolist()
     sweeps = -1
     for sweep in range(max_sweeps + 1):
-        if _off_norms(np.array(rows)) <= off_tol:
+        rotated = False
+        for p, q in pairs:
+            row_p = rows[p]
+            row_q = rows[q]
+            apq = row_p[q]
+            # Two square roots: a_pp * a_qq overflows for entries near 1e300.
+            if abs(apq) <= EPS * (math.sqrt(abs(row_p[p])) * math.sqrt(abs(row_q[q]))):
+                continue
+            rotated = True
+            if sweep == max_sweeps:
+                break
+            # apq = g * u with |u| = 1; a real pivot has g = apq, u = 1.
+            g = math.copysign(abs(apq), apq.real)
+            u = apq / g
+            theta = (row_q[q] - row_p[p]) / (2.0 * g)
+            if abs(theta) > BIG_THETA:
+                t = 0.5 / abs(theta)
+            else:
+                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            su = t * c * u
+            sv = su.conjugate()
+            # The new rows p and q; the 2x2 block then takes the column
+            # update as well, and the other columns mirror the rows.
+            new_p = [c * x - su * y for x, y in zip(row_p, row_q)]
+            new_q = [sv * x + c * y for x, y in zip(row_p, row_q)]
+            app = (c * new_p[p] - sv * new_p[q]).real
+            aqq = (su * new_q[p] + c * new_q[q]).real
+            new_p[p] = app
+            new_q[q] = aqq
+            new_p[q] = new_q[p] = 0.0
+            rows[p] = new_p
+            rows[q] = new_q
+            for row, x, y in zip(rows, new_p, new_q):
+                row[p] = x.conjugate()
+                row[q] = y.conjugate()
+            if vcols is not None:
+                vec_p = vcols[p]
+                vec_q = vcols[q]
+                vcols[p] = [c * x - sv * y for x, y in zip(vec_p, vec_q)]
+                vcols[q] = [su * x + c * y for x, y in zip(vec_p, vec_q)]
+        if not rotated:
             sweeps = sweep
             break
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                row_p = rows[p]
-                row_q = rows[q]
-                apq = row_p[q]
-                if apq == 0.0:
-                    continue
-                # apq = g * u with |u| = 1; a real pivot has g = apq, u = 1.
-                g = math.copysign(abs(apq), apq.real)
-                u = apq / g
-                theta = (row_q[q] - row_p[p]) / (2.0 * g)
-                if abs(theta) > BIG_THETA:
-                    t = 0.5 / abs(theta)
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                su = t * c * u
-                sv = su.conjugate()
-                # The new rows p and q; the 2x2 block then takes the column
-                # update as well, and the other columns mirror the rows.
-                new_p = [c * x - su * y for x, y in zip(row_p, row_q)]
-                new_q = [sv * x + c * y for x, y in zip(row_p, row_q)]
-                app = (c * new_p[p] - sv * new_p[q]).real
-                aqq = (su * new_q[p] + c * new_q[q]).real
-                new_p[p] = app
-                new_q[q] = aqq
-                new_p[q] = new_q[p] = 0.0
-                rows[p] = new_p
-                rows[q] = new_q
-                for row, x, y in zip(rows, new_p, new_q):
-                    row[p] = x.conjugate()
-                    row[q] = y.conjugate()
-                if vcols is not None:
-                    vec_p = vcols[p]
-                    vec_q = vcols[q]
-                    vcols[p] = [c * x - sv * y for x, y in zip(vec_p, vec_q)]
-                    vcols[q] = [su * x + c * y for x, y in zip(vec_p, vec_q)]
     a[...] = rows
     if vcols is not None:
         v[...] = np.array(vcols).T
     return sweeps
 
 
-def _off_norms(a):
-    # sqrt(4 * sum_{p<q} |a_pq|^2) over the last two axes: the off-diagonal
-    # Frobenius norm of the real embedding [[Re, -Im], [Im, Re]], the one
-    # linalg.OFF_DIAGONAL_TOL was set against. Both kernels stop on it.
-    upper = np.abs(np.triu(a, 1))
-    return np.sqrt(4.0 * np.square(upper, out=upper).sum(axis=(-2, -1)))
-
-
-def jacobi_sweeps_batched(a, off_tol, max_sweeps):
+def jacobi_sweeps_batched(a, max_sweeps):
     """``jacobi_sweeps`` over an (N, n, n) stack, eigenvalues only.
 
     Every matrix goes through exactly the rotations the single-matrix kernel
     would apply to it, with the same arithmetic: a rotation touches only
-    the matrices that are still unconverged and have a nonzero pivot, so
+    the matrices that are still live and whose pivot is not negligible, so
     each result is bit-identical to a separate call. Returns an int array
     of per-matrix sweep counts, -1 where ``max_sweeps`` was not enough.
     The stack must be real: the batched kernel has no complex rotation.
@@ -129,21 +125,19 @@ def jacobi_sweeps_batched(a, off_tol, max_sweeps):
     sweeps = np.full(count, -1, dtype=np.int64)
     live = np.ones(count, dtype=bool)
     for sweep in range(max_sweeps + 1):
-        done = live & (_off_norms(a) <= off_tol)
-        sweeps[done] = sweep
-        live &= ~done
-        if sweep == max_sweeps or not live.any():
-            break
+        rotated = np.zeros(count, dtype=bool)
         # Entries that may be nonzero in some live matrix. A rotation only
         # mixes rows p, q and columns p, q, so exact zeros elsewhere stay
-        # zero and pairs outside this pattern are skipped without a look.
+        # zero; a zero pivot is negligible and is skipped without a look.
         maybe = (a != 0.0)[live].any(axis=0)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if not maybe[p, q]:
                     continue
-                act = np.flatnonzero(live & (a[:, p, q] != 0.0))
-                if act.size == 0:
+                bound = EPS * (np.sqrt(np.abs(a[:, p, p])) * np.sqrt(np.abs(a[:, q, q])))
+                act = np.flatnonzero(live & ~(np.abs(a[:, p, q]) <= bound))
+                rotated[act] = True
+                if act.size == 0 or sweep == max_sweeps:
                     continue
                 with np.errstate(over="ignore", divide="ignore"):
                     theta = (a[act, q, q] - a[act, p, p]) / (2.0 * a[act, p, q])
@@ -164,6 +158,10 @@ def jacobi_sweeps_batched(a, off_tol, max_sweeps):
                 a[act, q, p] = 0.0
                 maybe[[p, q], :] = maybe[p] | maybe[q]
                 maybe[:, [p, q]] = (maybe[:, p] | maybe[:, q])[:, None]
+        sweeps[live & ~rotated] = sweep
+        live &= rotated
+        if not live.any():
+            break
     return sweeps
 
 

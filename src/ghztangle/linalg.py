@@ -1,8 +1,9 @@
 """Dense linear algebra for few-qubit density matrices.
 
-Public functions take numpy complex128 arrays. Qubit ordering convention
-used throughout the package: qubit 0 is the most significant tensor factor,
-so the computational basis state |abc> of three qubits sits at index 4a+2b+c.
+Public functions keep a real input float64 and make any other complex128.
+Qubit ordering convention used throughout the package: qubit 0 is the most
+significant tensor factor, so the computational basis state |abc> of three
+qubits sits at index 4a+2b+c.
 
 The Hermitian eigensolver runs cyclic Jacobi sweeps on the matrix as it
 is (see ``_kernels``): one complex rotation, which on a real matrix does
@@ -26,16 +27,16 @@ import numpy as np
 from . import _kernels
 
 HERMITICITY_TOL = 1e-10
-OFF_DIAGONAL_TOL = 1e-13
 MAX_SWEEPS = 100
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting non-finite entries."""
-    out = np.asarray(m, dtype=np.complex128)
+    """Coerce to a square float64 matrix if real, else complex128; reject non-finite entries."""
+    out = np.asarray(m)
+    out = out.astype(np.float64 if out.dtype.kind in "biuf" else np.complex128, copy=False)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(out.real).all() or not np.isfinite(out.imag).all():
+    if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite")
     return out
 
@@ -106,7 +107,7 @@ def _checked_hermitian(m: np.ndarray) -> np.ndarray:
 
 def _run_jacobi(h: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     # Diagonalizes h in place; rotations are accumulated in v when one is given.
-    sweeps = _kernels.jacobi_sweeps(h, v, OFF_DIAGONAL_TOL, MAX_SWEEPS)
+    sweeps = _kernels.jacobi_sweeps(h, v, MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError("eigensolver did not converge")
     return np.diag(h).real.copy()
@@ -131,7 +132,7 @@ def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
     if m.dtype != np.float64:
         raise TypeError("hermitian_eigenvalues_stack needs a float64 stack")
     h = _checked_hermitian(m)
-    if (_kernels.jacobi_sweeps_batched(h, OFF_DIAGONAL_TOL, MAX_SWEEPS) < 0).any():
+    if (_kernels.jacobi_sweeps_batched(h, MAX_SWEEPS) < 0).any():
         raise RuntimeError("eigensolver did not converge")
     return np.sort(np.diagonal(h, axis1=-2, axis2=-1))
 
@@ -139,7 +140,7 @@ def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns). Internal use."""
     h = _checked_hermitian(as_matrix(m))
-    v = np.eye(h.shape[0], dtype=np.complex128)
+    v = np.eye(h.shape[0], dtype=h.dtype)
     w = _run_jacobi(h, v)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]

@@ -26,7 +26,7 @@ def _embed(h):
 def _run(kernel, s, max_sweeps=100):
     a = np.array(s, dtype=np.float64)
     v = np.eye(a.shape[0])
-    sweeps = kernel(a, v, 1e-13, max_sweeps)
+    sweeps = kernel(a, v, max_sweeps)
     return a, v, sweeps
 
 
@@ -79,7 +79,7 @@ def test_complex_input_matches_numpy_eigvalsh(d):
         h = random_hermitian(rng, d)
         a = h.copy()
         v = np.eye(d, dtype=np.complex128)
-        sweeps = _kernels.jacobi_sweeps(a, v, 1e-13, 100)
+        sweeps = _kernels.jacobi_sweeps(a, v, 100)
         assert sweeps > 0
         assert not np.diag(a).imag.any()
         assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(h)).max() <= 1e-11
@@ -91,7 +91,7 @@ def test_complex_input_matches_numpy_eigvalsh(d):
 
 def test_complex_budget_exhausted_returns_minus_one():
     h = random_hermitian(np.random.default_rng(107), 8)
-    assert _kernels.jacobi_sweeps(h, None, 1e-13, 0) == -1
+    assert _kernels.jacobi_sweeps(h, None, 0) == -1
 
 
 def test_huge_rotation_angle_with_an_imaginary_pivot_is_silent():
@@ -101,7 +101,7 @@ def test_huge_rotation_angle_with_an_imaginary_pivot_is_silent():
     a = s.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sweeps = _kernels.jacobi_sweeps(a, None, 1e-13, 100)
+        sweeps = _kernels.jacobi_sweeps(a, None, 100)
     assert sweeps > 0
     assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(s)).max() <= 1e-12
 
@@ -143,7 +143,7 @@ def _mixed_stacks():
 @pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
 def test_batched_kernel_is_bitwise_single_kernel(stack):
     got = stack.copy()
-    sweeps = _kernels.jacobi_sweeps_batched(got, 1e-13, 100)
+    sweeps = _kernels.jacobi_sweeps_batched(got, 100)
     assert sweeps.shape == (len(stack),)
     assert 0 in sweeps and sweeps.max() > 1
     for i, s in enumerate(stack):
@@ -162,7 +162,7 @@ def test_single_kernel_without_vectors_is_bitwise(stack):
     for s in stack:
         a, _, n = _run(_kernels.jacobi_sweeps, s)
         bare = s.copy()
-        assert _kernels.jacobi_sweeps(bare, None, 1e-13, 100) == n
+        assert _kernels.jacobi_sweeps(bare, None, 100) == n
         assert bare.tobytes() == a.tobytes()
         # The embedding puts 0.0 and -0.0 at mirrored places (-Im of a real
         # entry). The batched kernel rounds rows and columns separately and
@@ -172,8 +172,8 @@ def test_single_kernel_without_vectors_is_bitwise(stack):
         for start, exact in ((s, False), (s + 0.0, True)):
             single = start.copy()
             batched = start[None].copy()
-            assert _kernels.jacobi_sweeps(single, None, 1e-13, 100) == n
-            assert _kernels.jacobi_sweeps_batched(batched, 1e-13, 100)[0] == n
+            assert _kernels.jacobi_sweeps(single, None, 100) == n
+            assert _kernels.jacobi_sweeps_batched(batched, 100)[0] == n
             assert np.diag(single).tobytes() == np.diag(batched[0]).tobytes()
             assert _zero_signs_dropped(single) == _zero_signs_dropped(batched[0])
             if exact:
@@ -208,34 +208,49 @@ def test_dense_real_stacks_equal_the_public_route_bytewise(d):
 
 
 def test_stack_and_public_routes_agree_at_the_stop_test_boundary():
-    # A real 4x4 whose off-diagonal norm rounds to 1.0000000000000002e-13,
-    # one ulp above the tolerance; summed over the entries of its 8x8 real
-    # embedding, the same norm rounds to 1e-13 and passes. Both routes take
-    # the one norm, so both rotate the matrix.
-    upper = [
-        2.935946707041365e-14, -6.395228869243195e-15, -2.8256492050061733e-14,
-        1.8230228025601782e-14, 1.814994840284168e-14, 1.1701775813304646e-14,
-    ]  # fmt: skip
-    a = np.zeros((4, 4))
-    a[np.triu_indices(4, 1)] = upper
-    a += a.T
-    assert _kernels._off_norms(a) == 1.0000000000000002e-13
-    stacked = hermitian_eigenvalues_stack(a[None])[0]
-    assert stacked.tobytes() == hermitian_eigenvalues(a.astype(np.complex128)).tobytes()
-    assert np.abs(stacked).max() > 1e-14
+    # A pivot equal to EPS * sqrt|a_pp| * sqrt|a_qq| is negligible and the
+    # matrix is left as it is; one ulp more and it is rotated, in one sweep.
+    # Both kernels decide this alike, and so do the two public routes.
+    bound = _kernels.EPS * (np.sqrt(2.0) * np.sqrt(3.0))
+    for pivot, want in ((bound, 0), (np.nextafter(bound, 1.0), 1)):
+        s = np.array([[-2.0, pivot], [pivot, 3.0]])
+        single = s.copy()
+        batched = s[None].copy()
+        assert _kernels.jacobi_sweeps(single, None, 100) == want
+        assert _kernels.jacobi_sweeps_batched(batched, 100).tolist() == [want]
+        assert single.tobytes() == batched[0].tobytes()
+        assert (single.tobytes() == s.tobytes()) == (want == 0)
+        stacked = hermitian_eigenvalues_stack(s[None])[0]
+        assert stacked.tobytes() == hermitian_eigenvalues(s.astype(np.complex128)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10, 1e20])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_eigenvalues_scale_with_the_matrix(kind, scale):
+    # The stop test is relative, so no scale of the matrix is too small to
+    # rotate: s * A has s times the eigenvalues of A.
+    rng = np.random.default_rng(137)
+    a = random_hermitian(rng, 8)
+    if kind == "real":
+        a = a.real.copy()
+    w = hermitian_eigenvalues(a)
+    got = hermitian_eigenvalues(scale * a)
+    assert np.abs(got - scale * w).max() <= 1e-14 * scale * np.abs(w).max()
+    if kind == "real":
+        assert hermitian_eigenvalues_stack((scale * a)[None])[0].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
 def test_batched_kernel_budget_exhausted_per_matrix(stack):
-    sweeps = _kernels.jacobi_sweeps_batched(stack.copy(), 1e-13, 0)
+    sweeps = _kernels.jacobi_sweeps_batched(stack.copy(), 0)
     off_diagonal = np.array([np.any(s != np.diag(np.diag(s))) for s in stack])
     assert np.array_equal(sweeps == -1, off_diagonal)
     assert np.all(sweeps[~off_diagonal] == 0)
 
 
-def _batched_as_single(a, v, off_tol, max_sweeps):
+def _batched_as_single(a, v, max_sweeps):
     stack = a[None].copy()
-    sweeps = _kernels.jacobi_sweeps_batched(stack, off_tol, max_sweeps)
+    sweeps = _kernels.jacobi_sweeps_batched(stack, max_sweeps)
     a[...] = stack[0]
     return int(sweeps[0])
 
@@ -272,6 +287,20 @@ def test_overflowing_rotation_angle_is_silent(kernel):
 
 
 @pytest.mark.parametrize(
+    "kernel",
+    [*KERNELS, _batched_as_single],
+    ids=lambda k: k.__name__,
+)
+def test_huge_diagonal_does_not_overflow_the_skip_test(kernel):
+    # a_pp * a_qq overflows to inf here, which would call every pivot
+    # negligible; sqrt|a_pp| * sqrt|a_qq| does not.
+    a, _, sweeps = _run(kernel, np.full((2, 2), 1e300))
+    assert sweeps == 1
+    low, high = np.sort(np.diag(a))
+    assert low == 0.0 and abs(high - 2e300) <= 1e-15 * 2e300
+
+
+@pytest.mark.parametrize(
     "s",
     [
         np.zeros((3, 4)),
@@ -286,4 +315,4 @@ def test_overflowing_rotation_angle_is_silent(kernel):
 def test_single_kernel_rejects_a_matrix_that_is_not_symmetric(s):
     # The mirrored update would silently give a wrong spectrum here.
     with pytest.raises(ValueError, match="symmetric|square"):
-        _kernels.jacobi_sweeps(s.copy(), None, 1e-13, 100)
+        _kernels.jacobi_sweeps(s.copy(), None, 100)

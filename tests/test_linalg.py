@@ -182,3 +182,24 @@ def test_trace_norm_negativity_identity():
 def test_as_matrix_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         linalg.as_matrix(np.zeros((2, 3)))
+
+
+def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
+    # A real input stays float64 from as_matrix to the kernel, where its
+    # rotations run on Python floats; its complex copy gets the same bytes.
+    seen = []
+    kernel = linalg._kernels.jacobi_sweeps
+
+    def spy(a, v, max_sweeps):
+        seen.append(a.dtype)
+        return kernel(a, v, max_sweeps)
+
+    monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", spy)
+    m = np.random.default_rng(139).normal(size=(8, 8))
+    m = m + m.T
+    assert linalg.as_matrix(m.tolist()).dtype == np.float64
+    real = hermitian_eigenvalues(m)
+    complex_copy = hermitian_eigenvalues(m.astype(np.complex128))
+    assert seen == [np.float64, np.complex128]
+    assert real.tobytes() == complex_copy.tobytes()
+    assert partial_transpose(m, 0).dtype == partial_trace(m, (0, 1)).dtype == np.float64

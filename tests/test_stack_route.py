@@ -102,8 +102,8 @@ def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
 @example(kind="phase_damping", r=math.pi / 4, extra=[])
 def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
     # The batched real kernel against the single complex one, which does the
-    # same arithmetic on a real pivot and stops on the same norm; near
-    # p = 1/2 the coherence is near the absolute stop tolerance.
+    # same arithmetic on a real pivot and skips and stops by the same rule;
+    # near p = 1/2 the coherence is tiny against the cut's diagonal.
     params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
     state = ghz_rindler_density(r, r).real
     rho = dephase_stack(np.full(len(params), kind == PHASE_FLIP), params, np.repeat(state[None], len(params), axis=0))
@@ -117,10 +117,10 @@ def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
 
 def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
     # At r = 0 the A|BC cut holds the block [[0, c], [c, 0]], with
-    # c = (1 - 2p) / 2 under local-Alice phase flip: here about 6e-14. The
-    # Frobenius norm of its off-diagonal part, sqrt(2)|c|, would pass the
-    # stop test; the kernels' norm, 2|c| (that of the cut's real embedding,
-    # against which the tolerance was set), does not, and both routes
+    # c = (1 - 2p) / 2 under local-Alice phase flip: here about 6e-14, where
+    # an absolute stop test on the off-diagonal norm (sqrt(2)|c| or 2|c|
+    # against 1e-13) decides by its choice of norm whether to rotate. The
+    # relative test compares c with its own zero diagonal, so both routes
     # rotate the block to +-|c|.
     p = 0.5 - 6e-14
     factors = coherence_factors(CouplingConfig.local_alice(PHASE_FLIP, p))
