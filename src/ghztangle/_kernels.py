@@ -11,19 +11,13 @@ rotation computes the new rows p and q and mirrors them into columns p and
 q, which is exact for a Hermitian matrix: a few list comprehensions, where
 numpy slices cost about 25 calls per rotation.
 
-Both kernels skip a pivot that is negligible against its own diagonal,
+The kernel skips a pivot that is negligible against its own diagonal,
 ``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1992), and stop after a sweep that rotates nothing.
-They return the number of sweeps that rotated something, or -1 if
-``max_sweeps`` were not enough.
-
-``jacobi_sweeps_batched`` runs the same rotations on a stack of real
-matrices in numpy, without eigenvectors; the report pipeline uses it. Both
-kernels round with the same IEEE operations in the same order, so on a
-real matrix their diagonals and sweep counts are bit-identical. So are the
-other entries, but for the sign of a zero where the input holds 0.0 and
--0.0 at mirrored places. As a stack of one, the batched kernel makes a
-dense 8x8 solve 12-21 times slower than ``jacobi_sweeps``.
+Matrix Anal. Appl. 13, 1992), and stops after a sweep that rotates
+nothing. It returns the number of sweeps that rotated something, or -1 if
+``max_sweeps`` were not enough. ``linalg.hermitian_eigenvalues_stack``
+gives each 2x2 block of an X matrix this kernel's one rotation, with the
+same rule and constants.
 """
 
 from __future__ import annotations
@@ -42,10 +36,10 @@ def jacobi_sweeps(a, v, max_sweeps):
     """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
     Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
-    them. ``a`` must be exactly Hermitian, as every matrix either kernel
-    gets is: symmetrized as ``(m + m^dag) / 2``. That is what lets one
-    rotation compute only the new rows p and q and mirror them into
-    columns p and q.
+    them. ``a`` must be exactly Hermitian, as every matrix the public
+    routes give it is: symmetrized as ``(m + m^dag) / 2``. That is what
+    lets one rotation compute only the new rows p and q and mirror them
+    into columns p and q.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("jacobi_sweeps needs a square matrix")
@@ -108,60 +102,6 @@ def jacobi_sweeps(a, v, max_sweeps):
     a[...] = rows
     if vcols is not None:
         v[...] = np.array(vcols).T
-    return sweeps
-
-
-def jacobi_sweeps_batched(a, max_sweeps):
-    """``jacobi_sweeps`` over an (N, n, n) stack, eigenvalues only.
-
-    Every matrix goes through exactly the rotations the single-matrix kernel
-    would apply to it, with the same arithmetic: a rotation touches only
-    the matrices that are still live and whose pivot is not negligible, so
-    each result is bit-identical to a separate call. Returns an int array
-    of per-matrix sweep counts, -1 where ``max_sweeps`` was not enough.
-    The stack must be real: the batched kernel has no complex rotation.
-    """
-    count, n = a.shape[0], a.shape[1]
-    sweeps = np.full(count, -1, dtype=np.int64)
-    live = np.ones(count, dtype=bool)
-    for sweep in range(max_sweeps + 1):
-        rotated = np.zeros(count, dtype=bool)
-        # Entries that may be nonzero in some live matrix. A rotation only
-        # mixes rows p, q and columns p, q, so exact zeros elsewhere stay
-        # zero; a zero pivot is negligible and is skipped without a look.
-        maybe = (a != 0.0)[live].any(axis=0)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if not maybe[p, q]:
-                    continue
-                bound = EPS * (np.sqrt(np.abs(a[:, p, p])) * np.sqrt(np.abs(a[:, q, q])))
-                act = np.flatnonzero(live & ~(np.abs(a[:, p, q]) <= bound))
-                rotated[act] = True
-                if act.size == 0 or sweep == max_sweeps:
-                    continue
-                with np.errstate(over="ignore", divide="ignore"):
-                    theta = (a[act, q, q] - a[act, p, p]) / (2.0 * a[act, p, q])
-                    at = np.abs(theta)
-                    t = np.where(at > BIG_THETA, 0.5 / at, 1.0 / (at + np.sqrt(1.0 + theta * theta)))
-                t = np.where(theta < 0.0, -t, t)
-                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-                s = t[:, None] * c
-                col_p = a[act, :, p]
-                col_q = a[act, :, q]
-                a[act, :, p] = c * col_p - s * col_q
-                a[act, :, q] = s * col_p + c * col_q
-                row_p = a[act, p, :]
-                row_q = a[act, q, :]
-                a[act, p, :] = c * row_p - s * row_q
-                a[act, q, :] = s * row_p + c * row_q
-                a[act, p, q] = 0.0
-                a[act, q, p] = 0.0
-                maybe[[p, q], :] = maybe[p] | maybe[q]
-                maybe[:, [p, q]] = (maybe[:, p] | maybe[:, q])[:, None]
-        sweeps[live & ~rotated] = sweep
-        live &= rotated
-        if not live.any():
-            break
     return sweeps
 
 

@@ -12,12 +12,15 @@ the same eigenvalues bit for bit.
 
 Functions named ``*_stack`` are the internal forms behind the public ones:
 they act on the last two axes of an (N, d, d) stack, take trusted input
-and skip the argument checks; ``hermitian_eigenvalues_stack`` takes real
-stacks only, as the report pipeline's are. A public function coerces its
+and skip the argument checks. ``hermitian_eigenvalues_stack`` takes real
+stacks of X matrices only, as the report pipeline's are, and rotates each
+2x2 block of the X once instead of sweeping. A public function coerces its
 input with ``as_matrix`` and checks its arguments with ``_checked_keep``,
 once; ``tangles.negativity`` and ``tangles.two_tangle`` do the same and
-then call ``_eigenvalues``. The numeric checks (hermiticity, convergence)
-run on every solve.
+then call ``_eigenvalues``. The numeric checks run on every solve:
+hermiticity (``ValueError``) and convergence (``RuntimeError``) on the
+public route, exact X shape and exact symmetry (``RuntimeError``) on the
+stack route. Each is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def partial_transpose_stack(rho: np.ndarray, subsystem: int, n: int) -> np.ndarr
 def _checked_hermitian(m: np.ndarray) -> np.ndarray:
     # For a real m the conjugate transpose is a view of m: add into a new array.
     mh = np.swapaxes(m, -1, -2).conj()
-    if np.abs(m - mh).max() > HERMITICITY_TOL:
+    if not np.abs(m - mh).max() <= HERMITICITY_TOL:
         raise ValueError("hermiticity violated")
     mh = mh + m
     mh /= 2.0
@@ -124,17 +127,40 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every matrix in a float64 stack, one row each.
+    """Ascending eigenvalues of every matrix in a float64 stack of X matrices, one row each.
 
-    Rows are bit-identical to ``hermitian_eigenvalues`` of a complex copy of
-    each matrix; ``m`` is not changed.
+    An X matrix is zero off its diagonal and anti-diagonal, so its entries
+    (j, j), (j, d-1-j), (d-1-j, j) and (d-1-j, d-1-j) form an independent
+    2x2 block. Each block takes the one rotation ``_kernels.jacobi_sweeps``
+    would give it, with the same skip rule and IEEE operations, so rows are
+    bit-identical to ``hermitian_eigenvalues`` of a complex copy of each
+    matrix; ``m`` is not changed. Raises ``RuntimeError`` unless every
+    matrix is exactly X-shaped and exactly symmetric, which NaN is not.
     """
     if m.dtype != np.float64:
         raise TypeError("hermitian_eigenvalues_stack needs a float64 stack")
-    h = _checked_hermitian(m)
-    if (_kernels.jacobi_sweeps_batched(h, MAX_SWEEPS) < 0).any():
-        raise RuntimeError("eigensolver did not converge")
-    return np.sort(np.diagonal(h, axis1=-2, axis2=-1))
+    d = m.shape[-1]
+    eye = np.eye(d, dtype=bool)
+    anti = np.diagonal(m[:, :, ::-1], axis1=1, axis2=2)
+    if m[:, ~(eye | eye[::-1])].any() or not np.array_equal(anti, anti[:, ::-1]):
+        raise RuntimeError("stack matrices must be exactly symmetric X matrices")
+    k = d // 2
+    w = np.diagonal(m, axis1=1, axis2=2).copy()
+    # Views into w: the diagonal entries (j, j) and (d-1-j, d-1-j) of block j.
+    low, high = w[:, :k], w[:, ::-1][:, :k]
+    act = ~(np.abs(anti[:, :k]) <= _kernels.EPS * (np.sqrt(np.abs(low)) * np.sqrt(np.abs(high))))
+    app, aqq, apq = low[act], high[act], anti[:, :k][act]
+    with np.errstate(over="ignore", divide="ignore"):
+        theta = (aqq - app) / (2.0 * apq)
+        at = np.abs(theta)
+        t = np.where(at > _kernels.BIG_THETA, 0.5 / at, 1.0 / (at + np.sqrt(1.0 + theta * theta)))
+    t = np.where(theta < 0.0, -t, t)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    # The column update, then the row update, of the 2x2 block.
+    low[act] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+    high[act] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+    return np.sort(w)
 
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:

@@ -57,11 +57,12 @@ _SELECTOR_CUTS = {
 def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     """-2 * sum(negative w) over the last axis, cross-checked against sum(|w|) - 1.
 
-    A spectrum without a negative eigenvalue gives exactly +0.0.
+    A spectrum without a negative eigenvalue gives exactly +0.0. A spectrum
+    holding NaN or an infinity fails the cross-check.
     """
     from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1) + 0.0
     from_norm = np.abs(w).sum(axis=-1) - 1.0
-    if np.max(np.abs(from_norm - from_negatives)) > CROSS_CHECK_TOL:
+    if not np.max(np.abs(from_norm - from_negatives)) <= CROSS_CHECK_TOL:
         raise RuntimeError("negativity cross-check failed")
     return from_negatives
 
@@ -170,8 +171,8 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     phase flip and false for phase damping, and ``params`` (N, 3). Yields a
     ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
     lengths and the parameter range are checked once per call; the other
-    checks (a real state, hermiticity, eigensolver convergence and the
-    negativity cross-check) run on each whole stack. The residuals,
+    checks (a real state, X shape and exact symmetry, and the negativity
+    cross-check) run on each whole stack. The residuals,
     pi-tangle and deviations are array arithmetic in the order of their
     scalar forms, and each closed form is called once per (channel, r)
     group of the whole input, so a value does not depend on the stack or

@@ -138,3 +138,14 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2.0
+
+
+def random_x_stack(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n exactly symmetric real d x d X matrices (zero off the diagonal and
+    anti-diagonal), each at a scale from 1e-14 to 1, with coherences from
+    1e-20 to 1 times that and about a fifth of the entries exactly 0."""
+    eye = np.eye(d, dtype=bool)
+    a = rng.normal(size=(n, d, d)) * 10.0 ** rng.integers(-14, 1, size=(n, 1, 1))
+    a = np.where(eye, a, a * 10.0 ** rng.integers(-20, 1, size=(n, 1, 1)))
+    a = np.where((eye | eye[::-1]) & (rng.random((n, d, d)) >= 0.2), a, 0.0)
+    return np.triu(a) + np.swapaxes(np.triu(a, 1), -1, -2)

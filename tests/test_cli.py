@@ -9,10 +9,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghztangle.closedform
-import ghztangle.linalg
+import ghztangle.tangles
 from ghztangle.analysis import SweepSpec, sweep
 from ghztangle.cli import COLUMNS, build_parser, main
 
@@ -271,22 +272,59 @@ def test_sweep_unwritable_path(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def _sweep_with_fault(capsys, monkeypatch, tmp_path, name, fault):
+    # Runs a sweep with tangles' `name` (dephase_stack or
+    # hermitian_eigenvalues_stack) wrapped so that `fault` edits each stack
+    # it returns.
+    real = getattr(ghztangle.tangles, name)
+
+    def faulty(*args):
+        out = real(*args)
+        fault(out)
+        return out
+
+    monkeypatch.setattr(ghztangle.tangles, name, faulty)
+    argv = ["--channel", "phase-flip", "--r", "0.5", "--p-step", "1", "--out", str(tmp_path / "x.csv")]
+    return run_cli(capsys, "sweep", *argv)
+
+
+def _nan_coherence(rho):
+    rho[:, 0, 7] = rho[:, 7, 0] = math.nan
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(ghztangle.linalg, "MAX_SWEEPS", 0)
-    code, _, err = run_cli(
-        capsys,
-        "sweep",
-        "--channel",
-        "phase-flip",
-        "--r",
-        "0.5",
-        "--p-step",
-        "1",
-        "--out",
-        str(tmp_path / "x.csv"),
-    )
+    code, _, err = _sweep_with_fault(capsys, monkeypatch, tmp_path, "dephase_stack", _nan_coherence)
     assert code == 2
-    assert "did not converge" in err
+    assert "exactly symmetric X" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _nan_diagonal(rho):
+    rho[:, 3, 3] = math.nan
+
+
+def _asymmetric(rho):
+    rho[:, 0, 7] = np.nextafter(rho[:, 7, 0], math.inf)
+
+
+def _nan_eigenvalue(w):
+    w[:, 0] = math.nan
+
+
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        ("dephase_stack", _nan_diagonal, "cross-check"),
+        ("dephase_stack", _asymmetric, "exactly symmetric X"),
+        ("hermitian_eigenvalues_stack", _nan_eigenvalue, "cross-check"),
+    ],
+    ids=["nan-diagonal", "asymmetric", "nan-spectrum"],
+)
+def test_stack_route_faults_exit_numeric(name, fault, message, tmp_path, capsys, monkeypatch):
+    # Faults made inside the pipeline are numerical failures, not usage errors.
+    code, _, err = _sweep_with_fault(capsys, monkeypatch, tmp_path, name, fault)
+    assert code == 2
+    assert message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -16,7 +16,7 @@ from ghztangle.linalg import (
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import _negativity_from_spectra, negativity, two_tangle
 
-from oracles import random_hermitian
+from oracles import random_hermitian, random_x_stack
 
 
 def _embed(h):
@@ -141,52 +141,38 @@ def _mixed_stacks():
 
 
 @pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
-def test_batched_kernel_is_bitwise_single_kernel(stack):
-    got = stack.copy()
-    sweeps = _kernels.jacobi_sweeps_batched(got, 100)
-    assert sweeps.shape == (len(stack),)
-    assert 0 in sweeps and sweeps.max() > 1
-    for i, s in enumerate(stack):
-        a, _, n = _run(_kernels.jacobi_sweeps, s)
-        assert sweeps[i] == n
-        assert np.diag(got[i]).tobytes() == np.diag(a).tobytes()
-
-
-def _zero_signs_dropped(a):
-    # -0.0 + 0.0 is +0.0; every other value is unchanged.
-    return (a + 0.0).tobytes()
-
-
-@pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
 def test_single_kernel_without_vectors_is_bitwise(stack):
+    counts = []
     for s in stack:
         a, _, n = _run(_kernels.jacobi_sweeps, s)
         bare = s.copy()
         assert _kernels.jacobi_sweeps(bare, None, 100) == n
         assert bare.tobytes() == a.tobytes()
-        # The embedding puts 0.0 and -0.0 at mirrored places (-Im of a real
-        # entry). The batched kernel rounds rows and columns separately and
-        # keeps those signs apart; the single kernel mirrors its columns.
-        # Only zero entries can differ, and none once the input is bitwise
-        # symmetric.
-        for start, exact in ((s, False), (s + 0.0, True)):
-            single = start.copy()
-            batched = start[None].copy()
-            assert _kernels.jacobi_sweeps(single, None, 100) == n
-            assert _kernels.jacobi_sweeps_batched(batched, 100)[0] == n
-            assert np.diag(single).tobytes() == np.diag(batched[0]).tobytes()
-            assert _zero_signs_dropped(single) == _zero_signs_dropped(batched[0])
-            if exact:
-                assert single.tobytes() == batched[0].tobytes()
+        counts.append(n)
+    # The stacks hold fixed points and solves of several sweeps.
+    assert 0 in counts and max(counts) > 1
+
+
+def _random_x_states(rng, n):
+    # Real 3-qubit X states: a random diagonal and coherences c_j = c_{7-j}
+    # with |c_j| <= sqrt(rho_jj * rho_{7-j,7-j}), a quarter at the bound.
+    diag = rng.random((n, 8))
+    diag /= diag.sum(axis=1, keepdims=True)
+    u = rng.uniform(-1.0, 1.0, size=(n, 4))
+    u[: n // 4] = np.sign(u[: n // 4])
+    c = u * np.sqrt(diag[:, :4] * diag[:, :3:-1])
+    rhos = np.zeros((n, 8, 8))
+    rhos[:, range(8), range(8)] = diag
+    rhos[:, range(8), range(7, -1, -1)] = np.concatenate([c, c[:, ::-1]], axis=1)
+    return rhos
 
 
 def test_public_tangles_equal_the_batched_stack_route():
-    # The dense_states shape, made real: the symmetrized real parts of random
-    # 3-qubit states of rank 1, 2, 4 and 8, which are states too. The public
-    # route solves each as a complex matrix, the stack route as a real one.
+    # Random real X states, the shape of every state the stack route takes.
+    # The public route solves each as a matrix on its own, the stack route
+    # block by block.
     rng = np.random.default_rng(127)
-    rhos = np.array([_low_rank_state(rng, 8, rank) for rank in (1, 2, 4, 8) for _ in range(4)]).real
-    rhos = (rhos + np.swapaxes(rhos, -1, -2)) / 2.0
+    rhos = _random_x_states(rng, 16)
     for q in range(3):
         pt = partial_transpose_stack(rhos, q, 3)
         stacked = _negativity_from_spectra(hermitian_eigenvalues_stack(pt))
@@ -199,9 +185,9 @@ def test_public_tangles_equal_the_batched_stack_route():
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_dense_real_stacks_equal_the_public_route_bytewise(d):
+    # Random X stacks, which the block solve takes; a dense one it refuses.
     rng = np.random.default_rng(131 + d)
-    stack = rng.normal(size=(200, d, d)) * 10.0 ** rng.integers(-14, 1, size=(200, 1, 1))
-    stack = stack + np.swapaxes(stack, -1, -2)
+    stack = random_x_stack(rng, 200, d)
     stacked = hermitian_eigenvalues_stack(stack)
     for i, m in enumerate(stack.astype(np.complex128)):
         assert stacked[i].tobytes() == hermitian_eigenvalues(m).tobytes(), i
@@ -210,15 +196,12 @@ def test_dense_real_stacks_equal_the_public_route_bytewise(d):
 def test_stack_and_public_routes_agree_at_the_stop_test_boundary():
     # A pivot equal to EPS * sqrt|a_pp| * sqrt|a_qq| is negligible and the
     # matrix is left as it is; one ulp more and it is rotated, in one sweep.
-    # Both kernels decide this alike, and so do the two public routes.
+    # The kernel and the block solve decide this alike.
     bound = _kernels.EPS * (np.sqrt(2.0) * np.sqrt(3.0))
     for pivot, want in ((bound, 0), (np.nextafter(bound, 1.0), 1)):
         s = np.array([[-2.0, pivot], [pivot, 3.0]])
         single = s.copy()
-        batched = s[None].copy()
         assert _kernels.jacobi_sweeps(single, None, 100) == want
-        assert _kernels.jacobi_sweeps_batched(batched, 100).tolist() == [want]
-        assert single.tobytes() == batched[0].tobytes()
         assert (single.tobytes() == s.tobytes()) == (want == 0)
         stacked = hermitian_eigenvalues_stack(s[None])[0]
         assert stacked.tobytes() == hermitian_eigenvalues(s.astype(np.complex128)).tobytes()
@@ -237,29 +220,12 @@ def test_eigenvalues_scale_with_the_matrix(kind, scale):
     got = hermitian_eigenvalues(scale * a)
     assert np.abs(got - scale * w).max() <= 1e-14 * scale * np.abs(w).max()
     if kind == "real":
-        assert hermitian_eigenvalues_stack((scale * a)[None])[0].tobytes() == got.tobytes()
+        x = random_x_stack(rng, 8, 8)
+        want = [hermitian_eigenvalues(m).tobytes() for m in scale * x]
+        assert [w.tobytes() for w in hermitian_eigenvalues_stack(scale * x)] == want
 
 
-@pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
-def test_batched_kernel_budget_exhausted_per_matrix(stack):
-    sweeps = _kernels.jacobi_sweeps_batched(stack.copy(), 0)
-    off_diagonal = np.array([np.any(s != np.diag(np.diag(s))) for s in stack])
-    assert np.array_equal(sweeps == -1, off_diagonal)
-    assert np.all(sweeps[~off_diagonal] == 0)
-
-
-def _batched_as_single(a, v, max_sweeps):
-    stack = a[None].copy()
-    sweeps = _kernels.jacobi_sweeps_batched(stack, max_sweeps)
-    a[...] = stack[0]
-    return int(sweeps[0])
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [*KERNELS, _batched_as_single],
-    ids=lambda k: k.__name__,
-)
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
 def test_huge_rotation_angle_does_not_overflow(kernel):
     # theta = -5e199 here; squaring it overflowed before the large-angle branch.
     s = np.array([[1.0, 1e-200, 0.5], [1e-200, 0.0, 0.0], [0.5, 0.0, 2.0]])
@@ -270,11 +236,7 @@ def test_huge_rotation_angle_does_not_overflow(kernel):
     assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [*KERNELS, _batched_as_single],
-    ids=lambda k: k.__name__,
-)
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
 def test_overflowing_rotation_angle_is_silent(kernel):
     # theta = 1e10 / 2e-300 overflows to inf in the divide itself; t is then
     # 0.5 / inf = 0, and the rotation only zeroes the 1e-300 pivot.
@@ -286,11 +248,7 @@ def test_overflowing_rotation_angle_is_silent(kernel):
     assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-6
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [*KERNELS, _batched_as_single],
-    ids=lambda k: k.__name__,
-)
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
 def test_huge_diagonal_does_not_overflow_the_skip_test(kernel):
     # a_pp * a_qq overflows to inf here, which would call every pivot
     # negligible; sqrt|a_pp| * sqrt|a_qq| does not.
@@ -298,6 +256,30 @@ def test_huge_diagonal_does_not_overflow_the_skip_test(kernel):
     assert sweeps == 1
     low, high = np.sort(np.diag(a))
     assert low == 0.0 and abs(high - 2e300) <= 1e-15 * 2e300
+
+
+@pytest.mark.parametrize(
+    "s, want",
+    [
+        # theta = -5e199: the large-angle branch.
+        ([[1.0, 1e-200], [1e-200, 0.0]], (0.0, 1.0)),
+        # The same branch keeps a subnormal eigenvalue that t = 0 would lose.
+        ([[1.0, 1e-160], [1e-160, 0.0]], (-1e-320, 1.0)),
+        # theta overflows to inf in the divide itself; t is 0.5 / inf = 0.
+        ([[0.0, 1e-300], [1e-300, 1e10]], (0.0, 1e10)),
+        # a_pp * a_qq would overflow the skip test.
+        (np.full((2, 2), 1e300), (0.0, 2e300)),
+    ],
+    ids=["huge-angle", "huge-angle-subnormal", "overflowing-angle", "huge-diagonal"],
+)
+def test_block_solve_extreme_rotations_are_silent(s, want):
+    # The three overflow cases of the single kernel, as 2x2 X stacks.
+    s = np.array(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_eigenvalues_stack(s[None])[0]
+    assert got.tobytes() == hermitian_eigenvalues(s.astype(np.complex128)).tobytes()
+    assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
 @pytest.mark.parametrize(

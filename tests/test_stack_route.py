@@ -2,9 +2,10 @@
 
 The accelerated GHZ state and both channels' Kraus operators are real, so
 ``tangles.report_chunks`` and ``tangles._selected`` run from the built
-state to the spectra in float64, and ``hermitian_eigenvalues_stack``
-solves each real cut with the batched kernel, bit for bit as the public
-single-matrix route solves a complex copy of it.
+state to the spectra in float64. Every cut is an X matrix, and
+``hermitian_eigenvalues_stack`` solves it block by block, bit for bit as
+the public single-matrix route solves a complex copy of it; a stack of
+any other shape, or not exactly symmetric, is refused.
 """
 
 import math
@@ -21,7 +22,7 @@ from ghztangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_stack
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity
 
-from oracles import dephase_elementwise, random_hermitian
+from oracles import dephase_elementwise, random_hermitian, random_x_stack
 
 SPECIAL_R = (0.0, math.pi / 8, math.pi / 4)
 LADDER = [0.5 + s * 10.0**-k for k in range(1, 16) for s in (-1.0, 1.0)] + [0.0, 1.0]
@@ -49,11 +50,11 @@ def test_find_esd_builds_the_state_once(channel, monkeypatch):
 
 
 def test_stack_eigensolver_leaves_its_input_unchanged():
-    # The stack route takes real stacks only; a complex matrix goes to the
+    # The stack route takes real X stacks only; a complex matrix goes to the
     # single-matrix route, which must not change its input either.
     rng = np.random.default_rng(7)
     complex_stack = np.array([random_hermitian(rng, 8) for _ in range(4)])
-    real_stack = complex_stack.real + np.swapaxes(complex_stack.real, -1, -2)
+    real_stack = random_x_stack(rng, 4, 8)
     before = real_stack.copy()
     hermitian_eigenvalues_stack(real_stack)
     assert real_stack.tobytes() == before.tobytes()
@@ -64,6 +65,25 @@ def test_stack_eigensolver_leaves_its_input_unchanged():
     with pytest.raises(TypeError, match="float64"):
         hermitian_eigenvalues_stack(complex_stack)
     assert complex_stack.tobytes() == before.tobytes()
+
+
+def _faulty_stacks():
+    # A dense symmetric stack, then X stacks with one fault in their third
+    # matrix: a symmetric pair of entries off the X, one anti-diagonal entry
+    # one ulp above its mirror, and a NaN coherence.
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(4, 8, 8))
+    off_x, asymmetric, nan = (random_x_stack(rng, 4, 8) for _ in range(3))
+    off_x[2, 1, 2] = off_x[2, 2, 1] = 1e-300
+    asymmetric[2, 1, 6] = np.nextafter(asymmetric[2, 6, 1], math.inf)
+    nan[2, 0, 7] = nan[2, 7, 0] = math.nan
+    return [dense + np.swapaxes(dense, -1, -2), off_x, asymmetric, nan]
+
+
+@pytest.mark.parametrize("stack", _faulty_stacks(), ids=["dense", "off-the-x", "one-ulp-asymmetric", "nan-coherence"])
+def test_stack_eigensolver_refuses_what_is_not_an_exact_x(stack):
+    with pytest.raises(RuntimeError, match="exactly symmetric X"):
+        hermitian_eigenvalues_stack(stack)
 
 
 def _with_imaginary_coherence(rb, rc):
@@ -101,7 +121,7 @@ def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
 @example(kind="phase_damping", r=math.pi / 8, extra=[])
 @example(kind="phase_damping", r=math.pi / 4, extra=[])
 def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
-    # The batched real kernel against the single complex one, which does the
+    # The block solve against the single complex kernel, which does the
     # same arithmetic on a real pivot and skips and stops by the same rule;
     # near p = 1/2 the coherence is tiny against the cut's diagonal.
     params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
