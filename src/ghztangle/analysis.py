@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, report_chunks
+from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, _x_parts, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -38,10 +38,6 @@ TANGLE_SELECTORS = tuple(
 # The pair states of an X-state are diagonal, so the two-tangles vanish
 # identically: dead from p = 0.
 _PAIR_SELECTORS = ("n_AB", "n_AC", "n_BC")
-# Where the accelerated GHZ state may be nonzero: the diagonal except
-# rho[4, 4], rho[5, 5] and rho[6, 6], and the coherence rho[0, 7] with its
-# conjugate. find_esd's death criterion rests on those three zeros.
-_X_SUPPORT = ((0, 1, 2, 3, 7, 0, 7), (0, 1, 2, 3, 7, 7, 0))
 
 
 @dataclass(frozen=True)
@@ -125,14 +121,15 @@ class EsdResult:
     rebound_onset: float | None
 
 
-def _check_x_state(r: float) -> np.ndarray:
-    """ghz_rindler_density(r, r); RuntimeError unless it is zero off _X_SUPPORT."""
-    rho = ghz_rindler_density(r, r)
-    rest = rho.copy()
-    rest[_X_SUPPORT] = 0.0
-    if np.any(rest != 0.0):
+def _check_x_state(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """``tangles._x_parts(ghz_rindler_density(r, r))``; RuntimeError unless
+    its only nonzero entries are rho[j, j] for j = 0..3 and 7, and the
+    coherence rho[0, 7] with its mirror. find_esd's death criterion rests
+    on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
+    diag, anti = _x_parts(ghz_rindler_density(r, r))
+    if diag[:, 4:7].any() or anti[:, 1:7].any():
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
-    return rho
+    return diag, anti
 
 
 def find_esd(
@@ -159,18 +156,19 @@ def find_esd(
     below that point with ``_bisect``. Death uses the factors alone, as
     arrays. A rebound of the tangle above REBOUND_TOL is looked for only
     beyond p_star, so a phase-damping search evaluates nothing; values come
-    from ``tangles._selected``, which solves only the cuts the selector
-    reads. When the tangle never dies on the grid the result carries
-    p_star = 1 and the no_esd flag. RuntimeError if the state is not such
-    an X-state; ValueError for weights other than (1, 1, 1) unless
-    coupling is "custom".
+    from ``tangles._selected`` on the state's diagonal and anti-diagonal,
+    split and checked once per search, and it solves only the one-vs-rest
+    cuts the selector reads. When the tangle never dies on the grid the
+    result carries p_star = 1 and the no_esd flag. RuntimeError if the
+    state is not such an X-state; ValueError for weights other than
+    (1, 1, 1) unless coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
     if coupling != "custom" and tuple(weights) != (1.0, 1.0, 1.0):
         raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
-    rho = _check_x_state(r)
+    parts = _check_x_state(r)
 
     def factors(ps) -> np.ndarray:
         return _coherence_factors(channel, spec._params(ps))
@@ -191,7 +189,7 @@ def find_esd(
     p_star = grid[0] if first == 0 else _bisect(grid[first - 1], grid[first], died)
 
     def above(ps) -> list[bool]:
-        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, rho)]
+        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, parts)]
 
     beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
     after = next((j for j, up in zip(beyond, above([grid[j] for j in beyond])) if up), None)

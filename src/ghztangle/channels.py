@@ -5,12 +5,14 @@ qubit to its own copy of a channel with its own parameter; setting a
 parameter to zero leaves that qubit untouched.
 
 ``lift`` and ``apply_channel`` are the explicit Kraus route. The batched
-pipeline uses ``dephase_stack``: every lifted operator is diagonal, so the
+pipeline uses ``dephase_x``: every lifted operator is diagonal, so the
 channel keeps the diagonal of rho and scales each coherence rho[j, k] by
 the product of the per-qubit ``coherence_factors`` of the qubits on which
-j and k differ. Unlike the Kraus sum (1-p)x - px of a phase-flipped
-coherence x, that product does not cancel, and it is exactly 0.0 where a
-factor is.
+j and k differ. The pipeline's states are X states, whose coherences
+rho[j, 7-j] join basis states that differ in all three qubits, so each
+takes the product of all three factors. Unlike the Kraus sum
+(1-p)x - px of a phase-flipped coherence x, that product does not cancel,
+and it is exactly 0.0 where a factor is.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ PHASE_FLIP = "phase_flip"
 CHANNEL_KINDS = (PHASE_DAMPING, PHASE_FLIP)
 
 COMPLETENESS_TOL = 1e-12
-
-# _DIFFERS[q, j, k]: whether basis states j and k differ in qubit q (qubit 0
-# is the most significant bit, as in ``lift``'s Kronecker order).
-_BITS = (np.arange(8) >> np.array([[2], [1], [0]])) & 1
-_DIFFERS = _BITS[:, :, None] != _BITS[:, None, :]
 
 
 def _check_p(p: float) -> float:
@@ -159,16 +156,15 @@ def apply_channel(ops, rho) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def dephase_stack(flip: np.ndarray, params: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``rho * M`` for the coherence mask M of every row: phase flip where
-    the bool ``flip[i]`` is true, else phase damping, with the parameters
-    ``params[i]``; ``rho`` is (N, 8, 8). ``M[i, j, k]`` is the product of
-    the ``_coherence_factors`` of the qubits on which j and k differ,
-    multiplied in qubit order, and 1 on the diagonal. The result keeps
-    ``rho``'s dtype, which is float64 on the report pipeline's route.
+def dephase_x(flip: np.ndarray, params: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """The dephased anti-diagonals ``anti[i, j] = rho_i[j, 7-j]`` of X states.
+
+    Row i takes phase flip where the bool ``flip[i]`` is true, else phase
+    damping, with the parameters ``params[i]``: each coherence times the
+    product of the three qubits' ``_coherence_factors``, in qubit order.
+    The channel keeps the diagonal.
     """
-    factors = np.where(
+    f0, f1, f2 = np.where(
         flip[:, None], _coherence_factors(PHASE_FLIP, params), _coherence_factors(PHASE_DAMPING, params)
-    )
-    m0, m1, m2 = (np.where(_DIFFERS[q], factors[:, q, None, None], 1.0) for q in range(3))
-    return rho * ((m0 * m1) * m2)
+    ).T
+    return anti * ((f0 * f1) * f2)[:, None]

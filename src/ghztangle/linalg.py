@@ -10,17 +10,14 @@ is (see ``_kernels``): one complex rotation, which on a real matrix does
 the real rotation's arithmetic, so a real matrix and its complex copy get
 the same eigenvalues bit for bit.
 
-Functions named ``*_stack`` are the internal forms behind the public ones:
-they act on the last two axes of an (N, d, d) stack, take trusted input
-and skip the argument checks. ``hermitian_eigenvalues_stack`` takes real
-stacks of X matrices only, as the report pipeline's are, and rotates each
-2x2 block of the X once instead of sweeping. A public function coerces its
-input with ``as_matrix`` and checks its arguments with ``_checked_keep``,
-once; ``tangles.negativity`` and ``tangles.two_tangle`` do the same and
-then call ``_eigenvalues``. The numeric checks run on every solve:
-hermiticity (``ValueError``) and convergence (``RuntimeError``) on the
-public route, exact X shape and exact symmetry (``RuntimeError``) on the
-stack route. Each is written so that NaN fails it.
+A public function coerces its input with ``as_matrix`` and checks its
+arguments with ``_checked_keep``, once, then calls the internal form that
+skips them (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``),
+as ``tangles.negativity`` and ``tangles.two_tangle`` do. Hermiticity
+(``ValueError``) and convergence (``RuntimeError``) are checked on every
+solve, so that NaN fails them. ``x_eigenvalues_stack`` solves the report
+pipeline's X matrices, given as diagonals and anti-diagonals, by rotating
+each 2x2 block of the X once; ``tangles._x_parts`` checks their shape.
 """
 
 from __future__ import annotations
@@ -66,35 +63,30 @@ def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
     """Reduced density matrix over the qubits in ``keep`` (ascending indices)."""
     rho = as_matrix(rho)
     keep, n = _checked_keep(rho, keep, n_qubits)
-    return partial_trace_stack(rho, keep, n)
+    return _partial_trace(rho, keep, n)
 
 
-def partial_trace_stack(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    lead = rho.shape[:-2]
-    b = len(lead)
-    t = rho.reshape(lead + (2,) * (2 * n))
+def _partial_trace(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+    t = rho.reshape((2,) * (2 * n))
     live = n
     for q in range(n - 1, -1, -1):
         if q in keep:
             continue
-        t = np.trace(t, axis1=b + q, axis2=b + q + live)
+        t = np.trace(t, axis1=q, axis2=q + live)
         live -= 1
     d = 2 ** len(keep)
-    return t.reshape(lead + (d, d))
+    return t.reshape(d, d)
 
 
 def partial_transpose(rho, subsystem: int, n_qubits: int | None = None) -> np.ndarray:
     """Transpose one qubit's indices, leaving the rest untouched."""
     rho = as_matrix(rho)
     _, n = _checked_keep(rho, (subsystem,), n_qubits)
-    return partial_transpose_stack(rho, subsystem, n)
+    return _partial_transpose(rho, subsystem, n)
 
 
-def partial_transpose_stack(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
-    lead = rho.shape[:-2]
-    b = len(lead)
-    t = rho.reshape(lead + (2,) * (2 * n))
-    t = np.swapaxes(t, b + subsystem, b + subsystem + n)
+def _partial_transpose(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
+    t = np.swapaxes(rho.reshape((2,) * (2 * n)), subsystem, subsystem + n)
     return t.reshape(rho.shape).copy()
 
 
@@ -126,26 +118,21 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return _eigenvalues(as_matrix(m))
 
 
-def hermitian_eigenvalues_stack(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every matrix in a float64 stack of X matrices, one row each.
+def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric X matrices, one row each, from float64 ``(N, d)`` parts.
 
-    An X matrix is zero off its diagonal and anti-diagonal, so its entries
-    (j, j), (j, d-1-j), (d-1-j, j) and (d-1-j, d-1-j) form an independent
-    2x2 block. Each block takes the one rotation ``_kernels.jacobi_sweeps``
-    would give it, with the same skip rule and IEEE operations, so rows are
-    bit-identical to ``hermitian_eigenvalues`` of a complex copy of each
-    matrix; ``m`` is not changed. Raises ``RuntimeError`` unless every
-    matrix is exactly X-shaped and exactly symmetric, which NaN is not.
+    Matrix i is ``diag[i, j]`` at (j, j), ``anti[i, j]`` at (j, d-1-j) and
+    zero elsewhere, so each block (j, d-1-j) is an independent 2x2. It takes
+    the one rotation ``_kernels.jacobi_sweeps`` would give it, with the same
+    skip rule and IEEE operations, so rows are bit-identical to
+    ``hermitian_eigenvalues`` of a complex copy of each matrix; the parts
+    are not changed.
     """
-    if m.dtype != np.float64:
-        raise TypeError("hermitian_eigenvalues_stack needs a float64 stack")
-    d = m.shape[-1]
-    eye = np.eye(d, dtype=bool)
-    anti = np.diagonal(m[:, :, ::-1], axis1=1, axis2=2)
-    if m[:, ~(eye | eye[::-1])].any() or not np.array_equal(anti, anti[:, ::-1]):
-        raise RuntimeError("stack matrices must be exactly symmetric X matrices")
+    if diag.dtype != np.float64 or anti.dtype != np.float64:
+        raise TypeError("x_eigenvalues_stack needs float64 parts")
+    d = diag.shape[-1]
     k = d // 2
-    w = np.diagonal(m, axis1=1, axis2=2).copy()
+    w = diag.copy()
     # Views into w: the diagonal entries (j, j) and (d-1-j, d-1-j) of block j.
     low, high = w[:, :k], w[:, ::-1][:, :k]
     act = ~(np.abs(anti[:, :k]) <= _kernels.EPS * (np.sqrt(np.abs(low)) * np.sqrt(np.abs(high))))

@@ -8,9 +8,10 @@ the average of the three residuals.
 ``report_chunks`` evaluates many points at once, given as arrays: it
 stacks CHUNK points at a time through every stage and yields each stack's
 report rows as one float array, so the per-point cost is array arithmetic
-rather than Python calls. Each stage does exactly the arithmetic of its
-single-matrix counterpart, so a report does not depend on the batch it was
-computed in. ``full_reports`` turns ``CouplingConfig`` points into those
+rather than Python calls. Each state is an X state, carried as its
+diagonal and anti-diagonal (``_x_parts``). Each stage does exactly the
+arithmetic of its single-matrix counterpart, so a report does not depend
+on the batch it was computed in. ``full_reports`` turns ``CouplingConfig`` points into those
 arrays and the rows into ``TangleReport`` objects.
 """
 
@@ -21,15 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import closedform
-from .channels import PHASE_DAMPING, PHASE_FLIP, CouplingConfig, dephase_stack
-from .linalg import (
-    _checked_keep,
-    _eigenvalues,
-    as_matrix,
-    hermitian_eigenvalues_stack,
-    partial_trace_stack,
-    partial_transpose_stack,
-)
+from .channels import PHASE_DAMPING, PHASE_FLIP, CouplingConfig, dephase_x
+from .linalg import _checked_keep, _eigenvalues, _partial_trace, _partial_transpose, as_matrix, x_eigenvalues_stack
 from .rindler import ghz_rindler_density
 
 CROSS_CHECK_TOL = 1e-10
@@ -37,9 +31,11 @@ CROSS_CHECK_TOL = 1e-10
 # overhead thin, few enough that peak memory stays near the one-point run's.
 CHUNK = 128
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+_J = np.arange(8)
+# The entries (i, j) of an 8x8 matrix off its diagonal and anti-diagonal.
+_OFF_X = (_J[:, None] != _J) & (_J[:, None] + _J != 7)
 
-# The cuts each tangle reads, as _cut indices, in the order _combine takes them.
+# The cuts each tangle reads, as _cut_spectra indices, in the order _combine takes them.
 _SELECTOR_CUTS = {
     "n_A_BC": (0,),
     "n_B_AC": (1,),
@@ -62,7 +58,10 @@ def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     """
     from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1) + 0.0
     from_norm = np.abs(w).sum(axis=-1) - 1.0
-    if not np.max(np.abs(from_norm - from_negatives)) <= CROSS_CHECK_TOL:
+    # An infinite spectrum gives inf - inf here: NaN, which fails the check.
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(from_norm - from_negatives)
+    if not np.max(gap) <= CROSS_CHECK_TOL:
         raise RuntimeError("negativity cross-check failed")
     return from_negatives
 
@@ -77,7 +76,7 @@ def negativity(rho, subsystem: int, n_qubits: int | None = None) -> float:
     """
     rho = as_matrix(rho)
     _, n = _checked_keep(rho, (subsystem,), n_qubits)
-    pt = partial_transpose_stack(rho, subsystem, n)
+    pt = _partial_transpose(rho, subsystem, n)
     return float(_negativity_from_spectra(_eigenvalues(pt)))
 
 
@@ -87,7 +86,7 @@ def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float
     pair, n = _checked_keep(rho, pair, n_qubits)
     if len(pair) != 2:
         raise ValueError("pair must name two qubits")
-    pt = partial_transpose_stack(partial_trace_stack(rho, pair, n), 0, 2)
+    pt = _partial_transpose(_partial_trace(rho, pair, n), 0, 2)
     return float(_negativity_from_spectra(_eigenvalues(pt)))
 
 
@@ -170,9 +169,9 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     ``r`` is (N,), ``flip`` a bool (N,) array, true where the channel is
     phase flip and false for phase damping, and ``params`` (N, 3). Yields a
     ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
-    lengths and the parameter range are checked once per call; the other
-    checks (a real state, X shape and exact symmetry, and the negativity
-    cross-check) run on each whole stack. The residuals,
+    lengths and the parameter range are checked once per call, each
+    distinct-r state once (``_x_parts``: real, X shape, exact symmetry),
+    and the negativity cross-check on each whole stack. The residuals,
     pi-tangle and deviations are array arithmetic in the order of their
     scalar forms, and each closed form is called once per (channel, r)
     group of the whole input, so a value does not depend on the stack or
@@ -184,9 +183,9 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     if not ((0 <= params) & (params <= 1)).all():
         raise ValueError("p must be in [0, 1]")
     values, index = np.unique(r, return_inverse=True)
-    states = np.array([ghz_rindler_density(v, v) for v in values.tolist()])
+    diag, anti = _x_parts(np.array([ghz_rindler_density(v, v) for v in values.tolist()]))
     closed = _closed_forms(values, index, flip, params)
-    for start, n in _stacks(states, index, flip, params, range(6)):
+    for start, n in _stacks(diag, anti, index, flip, params, range(6)):
         stop = start + CHUNK
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
@@ -199,17 +198,29 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
         yield np.stack(columns, axis=1)
 
 
-def _stacks(states, index, flip, params, cuts):
-    """``(start, _negativities(rho, cuts))`` for each dephased stack ``rho``
-    of CHUNK points from ``start``, point i from ``states[index[i]]``. The
-    stacks are float64, so a state with an imaginary part is refused."""
+def _x_parts(states) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 ``(N, 8)`` diagonals and anti-diagonals ``anti[:, j] = rho[j, 7-j]``
+    of a stack of 8x8 states; ``RuntimeError`` unless each is real, zero
+    off its diagonal and anti-diagonal, and exactly symmetric, which NaN is not."""
+    states = states.reshape(-1, 8, 8)
     if (states.imag != 0.0).any():
         raise RuntimeError("state has an imaginary part; the float64 stack route needs a real one")
     states = states.real
+    anti = np.diagonal(states[:, :, ::-1], axis1=1, axis2=2).copy()
+    if states[:, _OFF_X].any() or not np.array_equal(anti, anti[:, ::-1]):
+        raise RuntimeError("state is not an X-state; the stack route needs exactly symmetric X matrices")
+    return np.diagonal(states, axis1=1, axis2=2).copy(), anti
+
+
+def _stacks(diag, anti, index, flip, params, cuts):
+    """``(start, n)`` for each stack of CHUNK points from ``start``, where
+    point i is state ``index[i]`` of ``diag`` and ``anti``, dephased, and
+    ``n`` holds the negativities of the given cuts, one row per cut."""
     for start in range(0, len(index), CHUNK):
         stop = start + CHUNK
-        rho = dephase_stack(flip[start:stop], params[start:stop], states[index[start:stop]])
-        yield start, _negativities(rho, cuts)
+        rows = index[start:stop]
+        d, a = diag[rows], dephase_x(flip[start:stop], params[start:stop], anti[rows])
+        yield start, np.stack([_negativity_from_spectra(_cut_spectra(d, a, k)) for k in cuts])
 
 
 def _closed_forms(values, index, flip, params) -> np.ndarray:
@@ -229,18 +240,15 @@ def _closed_forms(values, index, flip, params) -> np.ndarray:
     return out
 
 
-def _negativities(rho, cuts) -> np.ndarray:
-    """Negativities of the given cuts of a dephased stack, one row per cut."""
-    # One cut at a time, so only one stack of partial transposes is alive at once.
-    return np.stack([_negativity_from_spectra(hermitian_eigenvalues_stack(_cut(rho, k))) for k in cuts])
-
-
-def _cut(rho, k: int) -> np.ndarray:
-    """Partial transpose of cut k: the A|BC, B|AC and C|AB cuts (k = 0, 1,
-    2), then the AB, AC and BC pair states (k = 3, 4, 5)."""
+def _cut_spectra(diag, anti, k: int) -> np.ndarray:
+    """Spectra of cut k of X states: the partial transposes of the A|BC, B|AC
+    and C|AB cuts (k = 0, 1, 2), X matrices whose coherence (j, 7-j) moved
+    to (j^b, 7-(j^b)), b = 4 >> k; then the AB, AC and BC pair states (k = 3,
+    4, 5), which are diagonal: every coherence joins states that differ in
+    all three qubits, so a partial trace drops it (Yu and Eberly, 2007)."""
     if k < 3:
-        return partial_transpose_stack(rho, k, 3)
-    return partial_transpose_stack(partial_trace_stack(rho, _PAIRS[k - 3], 3), 0, 2)
+        return x_eigenvalues_stack(diag, anti[:, _J ^ (4 >> k)])
+    return np.sort(diag.reshape(-1, 2, 2, 2).sum(axis=6 - k).reshape(-1, 4))
 
 
 def _combine(n: np.ndarray) -> np.ndarray:
@@ -253,17 +261,18 @@ def _combine(n: np.ndarray) -> np.ndarray:
     return pi_tangle(*_residuals(*n))
 
 
-def _selected(kind: str, r: float, params: np.ndarray, tangle: str, rho=None) -> list[float]:
+def _selected(kind: str, r: float, params: np.ndarray, tangle: str, parts=None) -> list[float]:
     """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit.
 
-    Runs the stacks of ``report_chunks``, with every check on each, but
-    solves only the cuts the tangle reads: one for a one- or two-tangle,
-    three for a residual, six for the pi-tangle. ``rho`` is r's state, if built.
+    Runs the stacks of ``report_chunks``, with the same checks, but
+    computes only the cuts the tangle reads: one for a one- or two-tangle,
+    three for a residual, six for the pi-tangle. ``parts`` is r's state as
+    ``_x_parts`` gives it, if already split.
     """
-    rho = ghz_rindler_density(r, r) if rho is None else rho
+    diag, anti = _x_parts(ghz_rindler_density(r, r)) if parts is None else parts
     flip = np.full(len(params), kind == PHASE_FLIP)
     index = np.zeros(len(params), dtype=np.intp)
-    stacks = _stacks(rho[None], index, flip, params, _SELECTOR_CUTS[tangle])
+    stacks = _stacks(diag, anti, index, flip, params, _SELECTOR_CUTS[tangle])
     return [v for _, n in stacks for v in _combine(n).tolist()]
 
 

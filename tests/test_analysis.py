@@ -174,6 +174,19 @@ def test_find_esd_rejects_x_state_with_populated_middle_diagonal(monkeypatch):
         find_esd("phase_flip", 0.3)
 
 
+def test_find_esd_rejects_x_state_with_a_second_coherence(monkeypatch):
+    # Still an exactly symmetric X state, but the coherence rho[1, 6] puts a
+    # second block into each cut, whose death the factors alone do not decide.
+    def with_second_coherence(rb, rc):
+        rho = ghz_rindler_density(rb, rc)
+        rho[1, 6] = rho[6, 1] = 0.01
+        return rho
+
+    monkeypatch.setattr(analysis, "ghz_rindler_density", with_second_coherence)
+    with pytest.raises(RuntimeError, match="not an X-state; the exact death criterion"):
+        find_esd("phase_flip", 0.3)
+
+
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
 @pytest.mark.parametrize("tangle", ["n_AB", "n_AC", "n_BC"])
 def test_find_esd_pair_tangles_are_dead_from_the_start(channel, tangle):

@@ -7,14 +7,14 @@ from ghztangle.channels import (
     CouplingConfig,
     apply_channel,
     coherence_factors,
-    dephase_stack,
+    dephase_x,
     lift,
     phase_damping,
     phase_flip,
 )
 from ghztangle.rindler import ghz_rindler_density
 
-from oracles import dephase_elementwise, random_density_matrix
+from oracles import dephase_elementwise, random_density_matrix, random_x_stack
 
 
 def _complete(ops):
@@ -170,19 +170,28 @@ def test_coherence_factors_match_kraus_route():
 
 
 def test_dephase_stack_matches_the_kraus_route():
-    # The pipeline's coherence mask and the public lifted Kraus family are
-    # one channel: equal to rounding on random states and parameters, and
-    # equal bit for bit to the element-wise oracle.
+    # The pipeline's anti-diagonal scaling and the public lifted Kraus family
+    # are one channel on X states: equal to rounding on random states and
+    # parameters, and equal bit for bit to the element-wise oracle, which
+    # also keeps the diagonal and the zeros off the X as they are.
     rng = np.random.default_rng(61)
     kinds = rng.choice(CHANNEL_KINDS, size=64)
     params = rng.uniform(0.0, 1.0, size=(64, 3))
     params[::4] = np.where(rng.uniform(size=(16, 3)) < 0.5, 0.5, 1.0)
-    rho = np.array([random_density_matrix(rng, 8) for _ in kinds])
-    out = dephase_stack(kinds == PHASE_FLIP, params, rho)
+    rho = random_x_stack(rng, 64, 8)
+    anti = np.diagonal(rho[:, :, ::-1], axis1=1, axis2=2)
+    out = dephase_x(kinds == PHASE_FLIP, params, anti)
+    x = np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1]
     for kind, p, state, got in zip(kinds, params, rho, out):
         cfg = CouplingConfig(str(kind), *p)
-        assert np.abs(got - apply_channel(lift(cfg), state)).max() <= 1e-15
-        assert got.tobytes() == dephase_elementwise(state, coherence_factors(cfg)).tobytes()
+        kraus = apply_channel(lift(cfg), state)
+        assert np.abs(got - np.diagonal(kraus[:, ::-1])).max() <= 1e-15
+        assert np.abs(np.diagonal(kraus) - np.diagonal(state)).max() <= 1e-15
+        oracle = dephase_elementwise(state, coherence_factors(cfg))
+        assert got.tobytes() == np.diagonal(oracle[:, ::-1]).real.copy().tobytes()
+        assert not np.diagonal(oracle[:, ::-1]).imag.any()
+        assert np.diagonal(oracle).tobytes() == np.diagonal(state).astype(complex).tobytes()
+        assert not oracle[~x].any()
 
 
 def test_channel_on_ghz_keeps_diagonal():

@@ -273,9 +273,9 @@ def test_sweep_unwritable_path(tmp_path, capsys):
 
 
 def _sweep_with_fault(capsys, monkeypatch, tmp_path, name, fault):
-    # Runs a sweep with tangles' `name` (dephase_stack or
-    # hermitian_eigenvalues_stack) wrapped so that `fault` edits each stack
-    # it returns.
+    # Runs a sweep with tangles' `name` (ghz_rindler_density, dephase_x or
+    # x_eigenvalues_stack) wrapped so that `fault` edits each array it
+    # returns.
     real = getattr(ghztangle.tangles, name)
 
     def faulty(*args):
@@ -288,23 +288,23 @@ def _sweep_with_fault(capsys, monkeypatch, tmp_path, name, fault):
     return run_cli(capsys, "sweep", *argv)
 
 
-def _nan_coherence(rho):
-    rho[:, 0, 7] = rho[:, 7, 0] = math.nan
+def _nan_coherence(anti):
+    anti[:, 0] = anti[:, 7] = math.nan
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
-    code, _, err = _sweep_with_fault(capsys, monkeypatch, tmp_path, "dephase_stack", _nan_coherence)
+    code, _, err = _sweep_with_fault(capsys, monkeypatch, tmp_path, "dephase_x", _nan_coherence)
     assert code == 2
-    assert "exactly symmetric X" in err
+    assert "cross-check" in err
     assert list(tmp_path.iterdir()) == []
 
 
 def _nan_diagonal(rho):
-    rho[:, 3, 3] = math.nan
+    rho[3, 3] = math.nan
 
 
 def _asymmetric(rho):
-    rho[:, 0, 7] = np.nextafter(rho[:, 7, 0], math.inf)
+    rho[0, 7] = np.nextafter(rho[7, 0].real, math.inf)
 
 
 def _nan_eigenvalue(w):
@@ -314,9 +314,9 @@ def _nan_eigenvalue(w):
 @pytest.mark.parametrize(
     "name, fault, message",
     [
-        ("dephase_stack", _nan_diagonal, "cross-check"),
-        ("dephase_stack", _asymmetric, "exactly symmetric X"),
-        ("hermitian_eigenvalues_stack", _nan_eigenvalue, "cross-check"),
+        ("ghz_rindler_density", _nan_diagonal, "cross-check"),
+        ("ghz_rindler_density", _asymmetric, "exactly symmetric X"),
+        ("x_eigenvalues_stack", _nan_eigenvalue, "cross-check"),
     ],
     ids=["nan-diagonal", "asymmetric", "nan-spectrum"],
 )

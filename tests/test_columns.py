@@ -118,7 +118,7 @@ def test_columnar_rows_equal_full_report_across_a_chunk_boundary():
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, math.nan])
 def test_report_chunks_rejects_parameters_outside_the_unit_interval(bad):
-    # dephase_stack checks no parameter, so this check must catch NaN too.
+    # dephase_x checks no parameter, so this check must catch NaN too.
     params = np.array([[0.5, 0.5, 0.5], [0.2, bad, 0.0]])
     with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
         next(report_chunks(np.array([0.3, 0.3]), np.array([True, False]), params))

@@ -132,9 +132,10 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
     [
         # One stack for the grid points beyond p_star, then five for the 17
         # levels that narrow the onset bracket from 0.01 to BISECT_WIDTH:
-        # one solve per stack for a one-tangle, six for the pi-tangle.
+        # one solve per stack for a one-tangle, three for the pi-tangle,
+        # whose pair cuts are diagonal and solve nothing.
         ("phase_flip", "n_A_BC", 6),
-        ("phase_flip", "pi_tangle", 36),
+        ("phase_flip", "pi_tangle", 18),
         # Death on the last grid point: nothing beyond it to rebound on.
         ("phase_damping", "n_A_BC", 0),
         ("phase_damping", "pi_tangle", 0),
@@ -142,13 +143,13 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
 )
 def test_find_esd_work_is_bounded(channel, tangle, most, monkeypatch):
     calls = []
-    solve = tangles.hermitian_eigenvalues_stack
+    solve = tangles.x_eigenvalues_stack
 
-    def counted(m):
-        calls.append(m.shape[0])
-        return solve(m)
+    def counted(diag, anti):
+        calls.append(diag.shape[0])
+        return solve(diag, anti)
 
-    monkeypatch.setattr(tangles, "hermitian_eigenvalues_stack", counted)
+    monkeypatch.setattr(tangles, "x_eigenvalues_stack", counted)
     find_esd(channel, math.pi / 4, tangle=tangle)
     assert len(calls) <= most
     if most == 0:

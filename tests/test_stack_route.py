@@ -2,10 +2,12 @@
 
 The accelerated GHZ state and both channels' Kraus operators are real, so
 ``tangles.report_chunks`` and ``tangles._selected`` run from the built
-state to the spectra in float64. Every cut is an X matrix, and
-``hermitian_eigenvalues_stack`` solves it block by block, bit for bit as
-the public single-matrix route solves a complex copy of it; a stack of
-any other shape, or not exactly symmetric, is refused.
+state to the spectra in float64. A state enters as its diagonal and
+anti-diagonal (``tangles._x_parts``), which refuses a state of any other
+shape, or not exactly symmetric. Every one-vs-rest cut is an X matrix,
+which ``x_eigenvalues_stack`` solves block by block, and every pair state
+is diagonal; each cut's spectra equal, bit for bit, those the public
+single-matrix route gives the dense complex cut.
 """
 
 import math
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from ghztangle import _kernels, analysis, tangles
 from ghztangle.analysis import SweepSpec, find_esd, sweep_chunks
-from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, coherence_factors, dephase_stack
-from ghztangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_stack
+from ghztangle.channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, coherence_factors, dephase_x
+from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, x_eigenvalues_stack
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity
 
@@ -54,16 +56,16 @@ def test_stack_eigensolver_leaves_its_input_unchanged():
     # single-matrix route, which must not change its input either.
     rng = np.random.default_rng(7)
     complex_stack = np.array([random_hermitian(rng, 8) for _ in range(4)])
-    real_stack = random_x_stack(rng, 4, 8)
-    before = real_stack.copy()
-    hermitian_eigenvalues_stack(real_stack)
-    assert real_stack.tobytes() == before.tobytes()
+    parts = tangles._x_parts(random_x_stack(rng, 4, 8))
+    before = [part.copy() for part in parts]
+    x_eigenvalues_stack(*parts)
+    assert [part.tobytes() for part in parts] == [part.tobytes() for part in before]
     before = complex_stack.copy()
     for m in complex_stack:
         hermitian_eigenvalues(m)
     assert complex_stack.tobytes() == before.tobytes()
     with pytest.raises(TypeError, match="float64"):
-        hermitian_eigenvalues_stack(complex_stack)
+        x_eigenvalues_stack(np.diagonal(complex_stack, axis1=1, axis2=2), parts[1])
     assert complex_stack.tobytes() == before.tobytes()
 
 
@@ -82,8 +84,9 @@ def _faulty_stacks():
 
 @pytest.mark.parametrize("stack", _faulty_stacks(), ids=["dense", "off-the-x", "one-ulp-asymmetric", "nan-coherence"])
 def test_stack_eigensolver_refuses_what_is_not_an_exact_x(stack):
+    # The stack route checks the shape where a state enters it.
     with pytest.raises(RuntimeError, match="exactly symmetric X"):
-        hermitian_eigenvalues_stack(stack)
+        tangles._x_parts(stack)
 
 
 def _with_imaginary_coherence(rb, rc):
@@ -121,18 +124,24 @@ def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
 @example(kind="phase_damping", r=math.pi / 8, extra=[])
 @example(kind="phase_damping", r=math.pi / 4, extra=[])
 def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
-    # The block solve against the single complex kernel, which does the
-    # same arithmetic on a real pivot and skips and stops by the same rule;
-    # near p = 1/2 the coherence is tiny against the cut's diagonal.
+    # The stack route's spectra against the public single-matrix route on
+    # the dense complex cut of the element-wise oracle's dephased state; the
+    # single kernel does the same arithmetic on a real pivot and skips and
+    # stops by the same rule. Near p = 1/2 the coherence is tiny against the
+    # cut's diagonal.
     params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
-    state = ghz_rindler_density(r, r).real
-    rho = dephase_stack(np.full(len(params), kind == PHASE_FLIP), params, np.repeat(state[None], len(params), axis=0))
-    assert rho.dtype == np.float64
-    for k in range(6):
-        cut = tangles._cut(rho, k)
-        stacked = hermitian_eigenvalues_stack(cut)
-        for i, m in enumerate(cut.astype(np.complex128)):
-            assert stacked[i].tobytes() == hermitian_eigenvalues(m).tobytes(), (k, r, i)
+    state = ghz_rindler_density(r, r)
+    diag, anti = tangles._x_parts(state)
+    flip = np.full(len(params), kind == PHASE_FLIP)
+    diag, anti = np.repeat(diag, len(params), axis=0), dephase_x(flip, params, np.repeat(anti, len(params), axis=0))
+    assert diag.dtype == anti.dtype == np.float64
+    dense = [dephase_elementwise(state, coherence_factors(CouplingConfig(kind, *p))) for p in params]
+    cuts = [lambda m, q=q: partial_transpose(m, q, 3) for q in range(3)]
+    cuts += [lambda m, pair=pair: partial_transpose(partial_trace(m, pair, 3), 0, 2) for pair in ((0, 1), (0, 2), (1, 2))]
+    for k, cut in enumerate(cuts):
+        stacked = tangles._cut_spectra(diag, anti, k)
+        for i, m in enumerate(dense):
+            assert stacked[i].tobytes() == hermitian_eigenvalues(cut(m)).tobytes(), (k, r, i)
 
 
 def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ def test_tangles_reject_nonfinite(bad):
         negativity(rho, 0, 3)
     with pytest.raises(ValueError, match="finite"):
         two_tangle(rho, (0, 1), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_spectrum_fails_the_cross_check(bad):
+    # -inf gives inf - inf between the two routes; that must end in the
+    # cross-check's RuntimeError, not in a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="negativity cross-check failed"):
+            tangles._negativity_from_spectra(np.array([[0.25, 0.5], [bad, 1.0]]))
 
 
 def test_each_public_call_coerces_its_input_once(monkeypatch):
