@@ -27,6 +27,7 @@ from ghztangle.tangles import negativity
 from oracles import dephase_elementwise, random_hermitian, random_x_stack
 
 SPECIAL_R = (0.0, math.pi / 8, math.pi / 4)
+PAIRS = ((0, 1), (0, 2), (1, 2))
 LADDER = [0.5 + s * 10.0**-k for k in range(1, 16) for s in (-1.0, 1.0)] + [0.0, 1.0]
 # Every ladder value under collective, local-Alice and (1, 0.5, 0.25) coupling.
 LADDER_PARAMS = np.multiply.outer(LADDER, [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.5, 0.25]]).reshape(-1, 3)
@@ -136,12 +137,11 @@ def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
     diag, anti = np.repeat(diag, len(params), axis=0), dephase_x(flip, params, np.repeat(anti, len(params), axis=0))
     assert diag.dtype == anti.dtype == np.float64
     dense = [dephase_elementwise(state, coherence_factors(CouplingConfig(kind, *p))) for p in params]
-    cuts = [lambda m, q=q: partial_transpose(m, q, 3) for q in range(3)]
-    cuts += [lambda m, pair=pair: partial_transpose(partial_trace(m, pair, 3), 0, 2) for pair in ((0, 1), (0, 2), (1, 2))]
-    for k, cut in enumerate(cuts):
+    for k in range(6):
         stacked = tangles._cut_spectra(diag, anti, k)
         for i, m in enumerate(dense):
-            assert stacked[i].tobytes() == hermitian_eigenvalues(cut(m)).tobytes(), (k, r, i)
+            cut = partial_transpose(m, k, 3) if k < 3 else partial_transpose(partial_trace(m, PAIRS[k - 3], 3), 0, 2)
+            assert stacked[i].tobytes() == hermitian_eigenvalues(cut).tobytes(), (k, r, i)
 
 
 def test_a_cut_between_the_two_stop_tests_is_solved_as_embedded():
