@@ -15,7 +15,7 @@ The kernel skips a pivot that is negligible against its own diagonal,
 ``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and Veselic, SIAM J.
 Matrix Anal. Appl. 13, 1992), and stops after a sweep that rotates
 nothing. It returns the number of sweeps that rotated something, or -1 if
-``max_sweeps`` were not enough. ``linalg.hermitian_eigenvalues_stack``
+``max_sweeps`` were not enough. ``linalg.x_eigenvalues_stack``
 gives each 2x2 block of an X matrix this kernel's one rotation, with the
 same rule and constants.
 """
