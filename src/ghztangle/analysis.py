@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors
+from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _first_zero
 from .rindler import check_accel_param, ghz_rindler_density
 from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, _x_parts, report_chunks
 
@@ -66,8 +66,8 @@ class SweepSpec:
             check_accel_param(r)
         if not 0.0 <= self.p_start <= self.p_stop <= 1.0:
             raise ValueError("p range must satisfy 0 <= start <= stop <= 1")
-        if not self.p_step > 0.0:
-            raise ValueError("p step must be positive")
+        if not 0.0 < self.p_step < math.inf:
+            raise ValueError("p step must be positive and finite")
         # Counted, never built, so a tiny step fails before allocating.
         if len(self.r_values) * self._p_count() > MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} (r, p) points")
@@ -81,18 +81,21 @@ class SweepSpec:
     def p_grid(self) -> list[float]:
         """Inclusive grid from p_start in steps of p_step."""
         grid = [round(self.p_start + i * self.p_step, 12) for i in range(self._p_count())]
-        if abs(grid[-1] - self.p_stop) < self.p_step * 1e-9:
+        if len(grid) > 1 and abs(grid[-1] - self.p_stop) < self.p_step * 1e-9:
             grid[-1] = self.p_stop
         return grid
 
+    def _weights(self) -> tuple[float, float, float]:
+        """The per-qubit weights of the swept p."""
+        return _COUPLING_WEIGHTS.get(self.coupling, self.weights)
+
     def config_at(self, p: float) -> CouplingConfig:
-        w0, w1, w2 = _COUPLING_WEIGHTS.get(self.coupling, self.weights)
+        w0, w1, w2 = self._weights()
         return CouplingConfig(self.channel, w0 * p, w1 * p, w2 * p, label=self.coupling)
 
     def _params(self, ps) -> np.ndarray:
         """``config_at(p).params`` for every p >= 0, bit for bit, as an (N, 3) array; unchecked."""
-        weights = _COUPLING_WEIGHTS.get(self.coupling, self.weights)
-        return np.multiply.outer(np.asarray(ps, dtype=float), weights)
+        return np.multiply.outer(np.asarray(ps, dtype=float), self._weights())
 
 
 def sweep(spec: SweepSpec) -> list[TangleReport]:
@@ -147,21 +150,16 @@ def find_esd(
     of the per-qubit ``coherence_factors``. Each one-vs-rest partial
     transpose then holds a block [[d, c], [c*, 0]], which has a negative
     eigenvalue unless c = 0. So a one-tangle, its residual and the
-    pi-tangle are dead exactly where some factor is zero; the two-tangles
-    always are (p_star = 0). A factor that changes sign between two p
-    values passed through zero there.
+    pi-tangle are dead exactly where some factor is zero: p_star is
+    ``channels._first_zero`` of the weights, or 1 with the no_esd flag if
+    there is none. The two-tangles always are dead (p_star = 0).
 
-    The death and then the rebound onset are each found by scanning the
-    default p grid for the first point past it and narrowing the bracket
-    below that point with ``_bisect``. Death uses the factors alone, as
-    arrays. A rebound of the tangle above REBOUND_TOL is looked for only
-    beyond p_star, so a phase-damping search evaluates nothing; values come
-    from ``tangles._selected`` on the state's diagonal and anti-diagonal,
-    split and checked once per search, and it solves only the one-vs-rest
-    cuts the selector reads. When the tangle never dies on the grid the
-    result carries p_star = 1 and the no_esd flag. RuntimeError if the
-    state is not such an X-state; ValueError for weights other than
-    (1, 1, 1) unless coupling is "custom".
+    A rebound above REBOUND_TOL is looked for on the default p grid beyond
+    p_star; ``_bisect`` narrows its onset below the first point that
+    rebounds. ``tangles._selected`` gives the values from the state's X
+    parts, split and checked once per search. RuntimeError if the state is
+    not such an X-state; ValueError for weights other than (1, 1, 1) unless
+    coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
@@ -169,33 +167,18 @@ def find_esd(
         raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
     parts = _check_x_state(r)
-
-    def factors(ps) -> np.ndarray:
-        return _coherence_factors(channel, spec._params(ps))
-
-    grid = spec.p_grid()
-    f = factors(grid)
-    # Dead at a point, or passed through a zero of some factor since the
-    # previous one (the first point, with nothing to cross from, is
-    # compared with itself); the two-tangles are dead from p = 0.
-    dead = (f * np.concatenate([f[:1], f[:-1]]) <= 0.0).any(axis=1) | (tangle in _PAIR_SELECTORS)
-    if not dead.any():
+    p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, spec._weights())
+    if p_star is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
-    first = int(dead.argmax())
-
-    def died(ps) -> list[bool]:
-        return (factors(ps) * f[first - 1] <= 0.0).any(axis=1).tolist()
-
-    p_star = grid[0] if first == 0 else _bisect(grid[first - 1], grid[first], died)
 
     def above(ps) -> list[bool]:
         return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, parts)]
 
-    beyond = [j for j in range(first, len(grid)) if grid[j] > p_star]
-    after = next((j for j, up in zip(beyond, above([grid[j] for j in beyond])) if up), None)
+    beyond = [p for p in spec.p_grid() if p > p_star]
+    after = next((i for i, up in enumerate(above(beyond)) if up), None)
     if after is None:
         return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
-    onset = _bisect(max(grid[after - 1], p_star), grid[after], above)
+    onset = _bisect(beyond[after - 1] if after else p_star, beyond[after], above)
     return EsdResult(channel, coupling, r, tangle, p_star, False, True, onset)
 
 

@@ -123,6 +123,18 @@ def _coherence_factors(kind: str, params: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 - params)
 
 
+def _first_zero(kind: str, weights) -> float | None:
+    """The smallest p in [0, 1] where a factor of parameter w * p is zero, or None.
+
+    Phase flip's 1 - 2wp is zero at 1/(2w), correctly rounded since 2w is
+    exact; phase damping's sqrt(1 - wp) at 1/w. w is tested before dividing.
+    """
+    w = max(weights)
+    if kind == PHASE_FLIP:
+        return 1.0 / (2.0 * w) if 2.0 * w >= 1.0 else None
+    return 1.0 / w if w >= 1.0 else None
+
+
 def lift(cfg: CouplingConfig) -> tuple[np.ndarray, ...]:
     """All 2^3 tensor products E_i x E_j x E_k, index i varying slowest.
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ghztangle import analysis
 from ghztangle.analysis import (
-    BISECT_WIDTH,
     CLOSED_FORM_TOL,
     DEFAULT_R_VALUES,
     ERRATA,
@@ -144,7 +143,7 @@ def test_find_esd_flip_death_between_grid_points():
     # lies between grid points; the coherence factors change sign there.
     res = find_esd("phase_flip", math.pi / 4, coupling="custom", weights=(0.6, 0.6, 0.6))
     assert not res.no_esd
-    assert 5.0 / 6.0 <= res.p_star <= 5.0 / 6.0 + BISECT_WIDTH
+    assert res.p_star == 1.0 / (2 * 0.6)
     assert res.rebound
     # N_A ~ g^2 near the death at r = pi/4: back above 1e-6 at |1 - 1.2 p|^3 = 1e-3.
     assert res.rebound_onset == pytest.approx(1.1 / 1.2, abs=1e-5)
@@ -298,6 +297,14 @@ def test_sweep_spec_caps_grid_size_without_building_it():
             SweepSpec("phase_flip", r_values=(0.0,), p_step=step)
     with pytest.raises(ValueError, match="p step must be positive"):
         SweepSpec("phase_flip", p_step=math.nan)
+    with pytest.raises(ValueError, match="p step must be positive and finite"):
+        SweepSpec("phase_flip", p_step=math.inf)
+
+
+def test_sweep_spec_one_point_grid_keeps_p_start():
+    # A step past the range leaves one point, p_start; it is not p_stop.
+    assert SweepSpec("phase_flip", p_start=0.2, p_stop=0.9, p_step=1e10).p_grid() == [0.2]
+    assert SweepSpec("phase_flip", p_start=0.9, p_stop=0.9, p_step=1e10).p_grid() == [0.9]
 
 
 EDGE_P = (0.0, 1.0, 0.5, *(0.5 + s * 10.0**-k for k in range(1, 17) for s in (-1.0, 1.0)))

@@ -467,9 +467,17 @@ def test_esd_custom_weights(capsys):
     rows = [line.split() for line in out.strip().splitlines()[-2:]]
     # Swept p scaled by 0.6 puts the coherence zero 1 - 2(0.6 p) at p = 5/6.
     assert [row[0] for row in rows] == ["0.0000000", "0.7853982"]
-    assert [row[1] for row in rows] == ["0.8333334", "0.8333334"]
+    assert [row[1] for row in rows] == ["0.8333333", "0.8333333"]
     assert [row[2:4] for row in rows] == [["yes", "yes"], ["yes", "yes"]]
     assert [row[4] for row in rows] == ["0.8416667", "0.9166668"]
+
+
+def test_sweep_rejects_infinite_step(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--channel", "phase-flip", "--r", "0", "--p-step", "inf", "--out", str(out))
+    assert code == 1
+    assert "p step must be positive and finite" in err
+    assert not out.exists()
 
 
 def test_esd_rejects_bad_selector(capsys):

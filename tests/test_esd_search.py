@@ -1,22 +1,24 @@
 """The sudden-death search: its results, its pinned tables and its work.
 
-``find_esd`` evaluates only the selected tangle, skips the rebound scan
-where no grid point lies beyond the death, and bisects the rebound onset
-several levels per stack. ``esd_by_sequential_bisection`` below is the
-search as it ran before those changes, one ``full_report`` per midpoint;
-the two must agree to the last bit.
+``find_esd`` takes the death from the coupling weights, evaluates only
+the selected tangle, skips the rebound scan where no grid point lies
+beyond the death, and bisects the rebound onset several levels per stack.
+``esd_by_sequential_bisection`` below takes the death from exact
+fractions and bisects the onset one ``full_report`` per midpoint; the two
+must agree to the last bit.
 """
 
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
 from ghztangle import tangles
-from ghztangle.analysis import BISECT_WIDTH, REBOUND_TOL, EsdResult, SweepSpec, find_esd
-from ghztangle.channels import coherence_factors
+from ghztangle.analysis import BISECT_WIDTH, REBOUND_TOL, TANGLE_SELECTORS, EsdResult, SweepSpec, find_esd
 from ghztangle.cli import main
 from ghztangle.tangles import full_report, full_reports
+from oracles import mp_one_tangles
 
 R_LIST = "0,0.3926990816987241,0.7853981633974483"
 
@@ -41,45 +43,44 @@ ESD_DIGESTS = [
     ),
     (
         ("--channel", "phase-flip", "--coupling", "custom", "--weights", "0.6,0.6,0.6", "--tangle", "n_A_BC"),
-        "8d78e7030e68109be2820453fd9bae5a74e911fc680520355fd15d8e3b438ba0",
+        "f66304d27657ef8426f4268c385020908a5027f699cb2d4d257a9555134db2a0",
     ),
     (
         ("--channel", "phase-flip", "--coupling", "custom", "--weights", "0.6,0.6,0.6", "--tangle", "pi_tangle"),
-        "646cca21a1b93347cd2fa57f4b33aac637066b8bd7941af1c9edb6d78785638a",
+        "426fe65387a03317c3f8d6cb8b6a733c2e14696c5ca03828fd44c1479b9a35bc",
     ),
 ]
 
 
-def esd_by_sequential_bisection(channel, r, tangle, coupling, weights):
-    """find_esd one point at a time: a full coarse scan and one report per midpoint."""
-    spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
-    pair = tangle in ("n_AB", "n_AC", "n_BC")
+def exact_death(channel, tangle, weights):
+    """The smallest zero in [0, 1] of a coherence factor, as a Fraction, or None.
 
-    def died(f_lo, f):
-        return pair or any(a * b <= 0.0 for a, b in zip(f_lo, f))
+    Qubit q carries the parameter weights[q] * p. Its phase-flip factor
+    1 - 2 w p is zero at p = 1/(2w), its phase-damping factor sqrt(1 - w p)
+    at p = 1/w. The pair tangles are dead from p = 0.
+    """
+    if tangle in ("n_AB", "n_AC", "n_BC"):
+        return Fraction(0)
+    scale = 2 if channel == "phase_flip" else 1
+    zeros = [1 / (scale * Fraction(w)) for w in weights if w > 0]
+    return min((z for z in zeros if z <= 1), default=None)
+
+
+def esd_by_sequential_bisection(channel, r, tangle, coupling, weights):
+    """find_esd one point at a time: the exact death, a full scan and one report per onset midpoint."""
+    spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
 
     def value(p):
         return getattr(full_report(r, spec.config_at(p)), tangle)
 
-    grid = spec.p_grid()
-    coeffs = [coherence_factors(spec.config_at(p)) for p in grid]
-    first = next((i for i, f in enumerate(coeffs) if died(coeffs[i - 1] if i else f, f)), None)
-    if first is None:
+    death = exact_death(channel, tangle, spec.config_at(1.0).params)
+    if death is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
-    if first == 0:
-        p_star = grid[0]
-    else:
-        lo, hi = grid[first - 1], grid[first]
-        while hi - lo > BISECT_WIDTH:
-            mid = (lo + hi) / 2.0
-            if died(coeffs[first - 1], coherence_factors(spec.config_at(mid))):
-                hi = mid
-            else:
-                lo = mid
-        p_star = hi
+    p_star = float(death)
+    grid = spec.p_grid()
     reports = full_reports([r] * len(grid), [spec.config_at(p) for p in grid])
     vals = [getattr(rep, tangle) for rep in reports]
-    after = next((j for j in range(first, len(grid)) if grid[j] > p_star and vals[j] > REBOUND_TOL), None)
+    after = next((j for j in range(len(grid)) if grid[j] > p_star and vals[j] > REBOUND_TOL), None)
     if after is None:
         return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
     lo, hi = max(grid[after - 1], p_star), grid[after]
@@ -115,6 +116,37 @@ def test_find_esd_equals_sequential_bisection(channel, coupling, weights):
             rebounds += got.rebound
     # Phase flip rebounds after its death at p = 1/2; phase damping dies at p = 1.
     assert (rebounds > 0) == (channel == "phase_flip")
+
+
+# Weights with zeros on and off the 0.01 grid, at p = 1 and beyond it.
+DEATH_COUPLINGS = [
+    *COUPLINGS,
+    ("custom", (0.7, 0.55, 0.9)),
+    ("custom", (0.5, 0.5, 0.5)),
+    ("custom", (0.3, 0.2, 0.1)),
+    ("custom", (5e-324, 0.0, 0.0)),
+]
+DEATH_RS = (0.0, math.pi / 16, math.pi / 8, math.pi / 6, 0.7, math.pi / 4)
+
+
+@pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
+def test_find_esd_death_is_the_exact_zero(channel):
+    searches = 0
+    for coupling, weights in DEATH_COUPLINGS:
+        spec = SweepSpec(channel, coupling, weights=weights)
+        for r in DEATH_RS:
+            for tangle in TANGLE_SELECTORS:
+                res = find_esd(channel, r, tangle=tangle, coupling=coupling, weights=weights)
+                death = exact_death(channel, tangle, spec.config_at(1.0).params)
+                searches += 1
+                assert res.no_esd == (death is None)
+                assert res.p_star == (1.0 if death is None else float(death))
+                if res.no_esd:
+                    assert min(mp_one_tangles(r, channel, *spec.config_at(1.0).params)) > 0
+                elif res.p_star > 0.0:
+                    assert max(mp_one_tangles(r, channel, *spec.config_at(res.p_star).params)) <= 1e-20
+                    assert min(mp_one_tangles(r, channel, *spec.config_at(res.p_star - 1e-9).params)) > 0
+    assert searches == len(DEATH_COUPLINGS) * len(DEATH_RS) * len(TANGLE_SELECTORS)
 
 
 ESD_IDS = ["pf-pi", "pf-piA-alice", "pf-nC-custom", "pd-pi", "pf-nA-custom0.6", "pf-pi-custom0.6"]
