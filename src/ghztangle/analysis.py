@@ -27,8 +27,8 @@ CLOSED_FORM_TOL = 1e-9
 # verify's worst gaps closer than this, relatively, are a tie: the first is kept.
 _TIE_TOL = 1e-12
 
-# Largest (r, p) grid a SweepSpec accepts. A sweep holds its r, channel,
-# parameter and closed-form arrays whole, and CHUNK rows of everything else.
+# Largest (r, p) grid a SweepSpec accepts. A sweep holds its r, channel and
+# parameter arrays whole, and CHUNK rows of everything else.
 MAX_GRID_POINTS = 1_000_000
 
 # The numeric tangle fields of a report, in column order.

@@ -218,12 +218,14 @@ def cmd_verify(args) -> int:
 def cmd_esd(args) -> int:
     r_values = _parse_r_list(args.r)
     coupling, weights = _coupling_from_args(args)
+    # Every search runs before the first line is printed, so a failure leaves no partial table.
+    results = [
+        find_esd(_CHANNEL_FLAGS[args.channel], r, tangle=args.tangle, coupling=coupling, weights=weights)
+        for r in r_values
+    ]
     print(f"channel={_CHANNEL_FLAGS[args.channel]} coupling={coupling} tangle={args.tangle}")
     print(f"{'r':>10s}  {'p_star':>10s}  {'esd':>5s}  {'rebound':>7s}  {'onset':>10s}")
-    for r in r_values:
-        res = find_esd(
-            _CHANNEL_FLAGS[args.channel], r, tangle=args.tangle, coupling=coupling, weights=weights
-        )
+    for r, res in zip(r_values, results):
         onset = f"{res.rebound_onset:.7f}" if res.rebound_onset is not None else "-"
         esd = "no" if res.no_esd else "yes"
         reb = "yes" if res.rebound else "no"

@@ -7,12 +7,14 @@ the average of the three residuals.
 
 ``report_chunks`` evaluates many points at once, given as arrays: it
 stacks CHUNK points at a time through every stage and yields each stack's
-report rows as one float array, so the per-point cost is array arithmetic
-rather than Python calls. Each state is an X state, carried as its
-diagonal and anti-diagonal (``_x_parts``). Each stage does exactly the
-arithmetic of its single-matrix counterpart, so a report does not depend
-on the batch it was computed in. ``full_reports`` turns ``CouplingConfig`` points into those
-arrays and the rows into ``TangleReport`` objects.
+report rows as one float array. A stack costs a fixed number of numpy
+calls, whatever its size: one solve for all its one-vs-rest cuts, one sort
+for its pair cuts, five closed-form calls per channel. Each state is an X
+state, carried as its diagonal and anti-diagonal (``_x_parts``). Each stage
+does exactly the arithmetic of its single-matrix counterpart, so a report
+does not depend on the stack it was computed in. ``full_reports`` turns
+``CouplingConfig`` points into those arrays and the rows into
+``TangleReport`` objects.
 """
 
 from __future__ import annotations
@@ -29,13 +31,20 @@ from .rindler import ghz_rindler_density
 CROSS_CHECK_TOL = 1e-10
 # Points per stack in full_reports: enough to spread the per-call Python
 # overhead thin, few enough that peak memory stays near the one-point run's.
-CHUNK = 128
+CHUNK = 512
 
 _J = np.arange(8)
 # The entries (i, j) of an 8x8 matrix off its diagonal and anti-diagonal.
 _OFF_X = (_J[:, None] != _J) & (_J[:, None] + _J != 7)
+# Per one-vs-rest cut k = 0, 1, 2, the anti-diagonal of its partial transpose as indices
+# into the state's: the transpose moves coherence (j, 7-j) to (j^b, 7-(j^b)), b = 4 >> k.
+_FLIPPED = _J ^ (4 >> np.arange(3))[:, None]
+# Per pair q = 0, 1, 2 (AB, AC, BC; cut 3 + q), the two diagonal entries summed into each
+# of its four probabilities: bit q, the traced qubit's, clear and set.
+_PAIR_LOW = np.array([[j for j in range(8) if not j >> q & 1] for q in range(3)])
+_PAIR_HIGH = _PAIR_LOW | (1 << np.arange(3))[:, None]
 
-# The cuts each tangle reads, as _cut_spectra indices, in the order _combine takes them.
+# The cuts each tangle reads (0-2: A|BC, B|AC, C|AB; 3-5: AB, AC, BC), in the order _combine takes them.
 _SELECTOR_CUTS = {
     "n_A_BC": (0,),
     "n_B_AC": (1,),
@@ -173,9 +182,9 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     distinct-r state once (``_x_parts``: real, X shape, exact symmetry),
     and the negativity cross-check on each whole stack. The residuals,
     pi-tangle and deviations are array arithmetic in the order of their
-    scalar forms, and each closed form is called once per (channel, r)
-    group of the whole input, so a value does not depend on the stack or
-    group it was computed in.
+    scalar forms, and each closed form is called once per stack and channel
+    present, with r and the parameters as arrays, so a value does not
+    depend on the stack it was computed in.
     """
     if not len(r) == len(flip) == len(params):
         raise ValueError("r, flip and params differ in length")
@@ -184,12 +193,11 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
         raise ValueError("p must be in [0, 1]")
     values, index = np.unique(r, return_inverse=True)
     diag, anti = _x_parts(np.array([ghz_rindler_density(v, v) for v in values.tolist()]))
-    closed = _closed_forms(values, index, flip, params)
     for start, n in _stacks(diag, anti, index, flip, params, range(6)):
         stop = start + CHUNK
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
-        cf_a, cf_bc, cf_pi = closed[:, start:stop]
+        cf_a, cf_bc, cf_pi = _closed_forms(r[start:stop], flip[start:stop], params[start:stop])
         columns = (
             *params[start:stop].T, r[start:stop],
             *n, pi_a, pi_b, pi_c, pi,
@@ -215,40 +223,55 @@ def _x_parts(states) -> tuple[np.ndarray, np.ndarray]:
 def _stacks(diag, anti, index, flip, params, cuts):
     """``(start, n)`` for each stack of CHUNK points from ``start``, where
     point i is state ``index[i]`` of ``diag`` and ``anti``, dephased, and
-    ``n`` holds the negativities of the given cuts, one row per cut."""
+    ``n`` holds the negativities of the given cuts, ascending, one row per
+    cut. A stack's one-vs-rest cuts are solved in one call and its pair cuts
+    sorted in one, each group cross-checked once."""
+    ones = np.array([k for k in cuts if k < 3], dtype=int)
+    pairs = np.array([k - 3 for k in cuts if k >= 3], dtype=int)
     for start in range(0, len(index), CHUNK):
         stop = start + CHUNK
         rows = index[start:stop]
         d, a = diag[rows], dephase_x(flip[start:stop], params[start:stop], anti[rows])
-        yield start, np.stack([_negativity_from_spectra(_cut_spectra(d, a, k)) for k in cuts])
+        spectra = []
+        if len(ones):
+            spectra.append(_one_vs_rest_spectra(d, a, ones))
+        if len(pairs):
+            spectra.append(_pair_spectra(d, pairs))
+        yield start, np.concatenate([_negativity_from_spectra(w) for w in spectra], axis=1).T
 
 
-def _closed_forms(values, index, flip, params) -> np.ndarray:
-    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns of r = ``values[index]``, one row each.
-
-    Each closed form is called through the ``closedform`` module once per
-    (channel, distinct r) group, with the group's parameters as arrays.
-    """
-    # One key per (distinct r, channel) group present: 2 * (index of r) + flip.
-    keys, group = np.unique(2 * index + flip, return_inverse=True)
-    out = np.empty((3, len(index)))
-    for j, key in enumerate(keys.tolist()):
-        rows = group == j
-        p0, p1, p2 = params[rows].T
-        for column, name in zip(out, _CLOSED_FORMS[PHASE_FLIP if key % 2 else PHASE_DAMPING]):
-            column[rows] = getattr(closedform, name)(values[key // 2].item(), p0, p1, p2)
+def _closed_forms(r, flip, params) -> np.ndarray:
+    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns of a stack, one row each: each
+    closed form called through ``closedform`` on the rows of its channel, as arrays."""
+    out = np.empty((3, len(r)))
+    for kind, rows in ((PHASE_DAMPING, ~flip), (PHASE_FLIP, flip)):
+        if rows.any():
+            p0, p1, p2 = params[rows].T
+            for column, name in zip(out, _CLOSED_FORMS[kind]):
+                column[rows] = getattr(closedform, name)(r[rows], p0, p1, p2)
     return out
 
 
+def _one_vs_rest_spectra(diag, anti, cuts) -> np.ndarray:
+    """``(N, len(cuts), 8)`` spectra of the one-vs-rest cuts k = 0, 1, 2
+    (A|BC, B|AC, C|AB) of X states, all solved in one call: each cut's
+    partial transpose is the X matrix with anti-diagonal ``anti[:, _FLIPPED[k]]``."""
+    if len(cuts) > 1:
+        diag = np.repeat(diag, len(cuts), axis=0)
+    return x_eigenvalues_stack(diag, anti[:, _FLIPPED[cuts]].reshape(-1, 8)).reshape(len(anti), len(cuts), 8)
+
+
+def _pair_spectra(diag, pairs) -> np.ndarray:
+    """``(N, len(pairs), 4)`` spectra of the pair states q = 0, 1, 2 (AB, AC,
+    BC) of X states, sorted in one call. They are diagonal: every coherence
+    joins states that differ in all three qubits, so a partial trace drops
+    it (Yu and Eberly, 2007)."""
+    return np.sort(diag[:, _PAIR_LOW[pairs]] + diag[:, _PAIR_HIGH[pairs]])
+
+
 def _cut_spectra(diag, anti, k: int) -> np.ndarray:
-    """Spectra of cut k of X states: the partial transposes of the A|BC, B|AC
-    and C|AB cuts (k = 0, 1, 2), X matrices whose coherence (j, 7-j) moved
-    to (j^b, 7-(j^b)), b = 4 >> k; then the AB, AC and BC pair states (k = 3,
-    4, 5), which are diagonal: every coherence joins states that differ in
-    all three qubits, so a partial trace drops it (Yu and Eberly, 2007)."""
-    if k < 3:
-        return x_eigenvalues_stack(diag, anti[:, _J ^ (4 >> k)])
-    return np.sort(diag.reshape(-1, 2, 2, 2).sum(axis=6 - k).reshape(-1, 4))
+    """The ``(N, 8)`` or ``(N, 4)`` spectra of cut k alone, as ``_stacks`` computes them."""
+    return (_one_vs_rest_spectra(diag, anti, [k]) if k < 3 else _pair_spectra(diag, [k - 3]))[:, 0]
 
 
 def _combine(n: np.ndarray) -> np.ndarray:

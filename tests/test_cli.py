@@ -472,6 +472,31 @@ def test_esd_custom_weights(capsys):
     assert [row[4] for row in rows] == ["0.8416667", "0.9166668"]
 
 
+@pytest.mark.parametrize("weights", ["0.6,nan,0", "1.5,0,0"])
+def test_esd_refused_weights_print_nothing(weights, capsys):
+    code, out, err = run_cli(
+        capsys, "esd", "--channel", "phase-flip", "--r", "0.3", "--coupling", "custom", "--weights", weights
+    )
+    assert code == 1
+    assert out == ""
+    assert "weights must be in [0, 1]" in err
+
+
+def test_esd_failure_at_a_later_r_prints_no_partial_table(capsys, monkeypatch):
+    real = ghztangle.cli.find_esd
+
+    def fail_after_first(channel, r, **kwargs):
+        if r > 0.0:
+            raise RuntimeError("injected failure")
+        return real(channel, r, **kwargs)
+
+    monkeypatch.setattr(ghztangle.cli, "find_esd", fail_after_first)
+    code, out, err = run_cli(capsys, "esd", "--channel", "phase-flip", "--r", "0,0.3")
+    assert code == 2
+    assert out == ""
+    assert "injected failure" in err
+
+
 def test_sweep_rejects_infinite_step(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--channel", "phase-flip", "--r", "0", "--p-step", "inf", "--out", str(out))

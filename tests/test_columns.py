@@ -1,7 +1,7 @@
 """Bit identity of the columnar report path.
 
 ``tangles.report_chunks`` computes a stack's report rows as arrays and
-calls each closed form once per (channel, r) group with parameter arrays;
+calls each closed form once per stack and channel with r and parameter arrays;
 the CLI writers format a whole row with one ``%`` call. These tests hold
 each piece to its scalar counterpart, compared by ``float.hex`` so that
 -0.0 and the last bit count.
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghztangle import cli, closedform
+from ghztangle import cli, closedform, tangles
+from ghztangle.analysis import TANGLE_SELECTORS
 from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, PHASE_FLIP, CouplingConfig
-from ghztangle.tangles import CHUNK, NUMERIC_COLUMNS, full_report, pi_tangle, report_chunks, residual
+from ghztangle.tangles import NUMERIC_COLUMNS, full_report, pi_tangle, report_chunks, residual
 
 FUNCS = (
     closedform.pd_one_tangle_A,
@@ -77,13 +78,20 @@ def _assert_rows_match(r_list, configs):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(r=r_values, ps=st.lists(st.tuples(p_values, p_values, p_values), min_size=1, max_size=12))
-def test_closed_forms_on_arrays_equal_scalar_calls(r, ps):
-    p0, p1, p2 = (np.array(column) for column in zip(*ps))
+@given(r=r_values, points=st.lists(st.tuples(r_values, p_values, p_values, p_values), min_size=1, max_size=12))
+def test_closed_forms_on_arrays_equal_scalar_calls(r, points):
+    # With r a float and with r an array, which repeats its first value and holds 0 and pi/4.
+    points = points + [(0.0, *points[0][1:]), (math.pi / 4, *points[0][1:]), points[0]]
+    rs, p0, p1, p2 = (np.array(column) for column in zip(*points))
     for f in FUNCS:
         got = f(r, p0, p1, p2)
         assert isinstance(got, np.ndarray) and got.shape == p0.shape
-        assert _bits(got) == _bits(f(r, *p) for p in ps), f.__name__
+        assert _bits(got) == _bits(f(r, *p[1:]) for p in points), f.__name__
+        scalar = [f(*p) for p in points]
+        assert all(type(x) is float for x in scalar)
+        got = f(rs, p0, p1, p2)
+        assert isinstance(got, np.ndarray) and got.shape == p0.shape
+        assert _bits(got) == _bits(scalar), f.__name__
 
 
 def test_closed_forms_on_floats_return_floats():
@@ -103,17 +111,42 @@ def test_columnar_rows_equal_full_report(points):
     _assert_rows_match([r for _, _, r, _ in points], [_config(kind, coupling, p) for kind, coupling, _, p in points])
 
 
-def test_columnar_rows_equal_full_report_across_a_chunk_boundary():
+def test_columnar_rows_equal_full_report_across_a_chunk_boundary(monkeypatch):
     # Mixed channels, couplings and r values, longer than one stack.
+    monkeypatch.setattr(tangles, "CHUNK", 16)
     r_list, configs = [], []
-    for i in range(2 * CHUNK + 3):
+    for i in range(2 * tangles.CHUNK + 3):
         kind = CHANNEL_KINDS[i % 2]
         coupling = COUPLINGS[i % 3]
         r = (0.0, math.pi / 8, math.pi / 4)[(i // 5) % 3]
-        p = EDGE_P[i % len(EDGE_P)] if i % 4 else i / (2 * CHUNK + 3)
+        p = EDGE_P[i % len(EDGE_P)] if i % 4 else i / (2 * tangles.CHUNK + 3)
         r_list.append(r)
         configs.append(_config(kind, coupling, p))
     _assert_rows_match(r_list, configs)
+
+
+def test_values_do_not_depend_on_the_stack(monkeypatch):
+    # Both channels interleaved, 21 distinct r with repeats, p on the ladder
+    # 1/2 +- 10^-k plus 0 and 1, and the three couplings, through stacks of
+    # several sizes: the rows, and each tangle _selected computes, agree by bytes.
+    ladder = (0.0, 1.0, *(0.5 + s * 10.0**-k for k in range(1, 17) for s in (-1.0, 1.0)))
+    r_grid = [i * math.pi / 80 for i in range(20)] + [math.pi / 4]
+    configs = [_config(CHANNEL_KINDS[i % 2], COUPLINGS[i // 2 % 3], ladder[i % 34]) for i in range(102)]
+    r = np.array([r_grid[i * 5 % 21] for i in range(102)])
+    flip = np.array([cfg.kind == PHASE_FLIP for cfg in configs])
+    params = np.array([cfg.params for cfg in configs])
+    selections = [
+        (kind, r_sel, np.array([_config(kind, c, p).params for c in COUPLINGS for p in ladder]), tangle)
+        for kind in CHANNEL_KINDS
+        for r_sel in (0.0, math.pi / 8, math.pi / 4)
+        for tangle in TANGLE_SELECTORS
+    ]
+    rows, selected = set(), set()
+    for size in (1, 7, 128, tangles.CHUNK):
+        monkeypatch.setattr(tangles, "CHUNK", size)
+        rows.add(np.concatenate(list(report_chunks(r, flip, params))).tobytes())
+        selected.add(tuple(tuple(_bits(tangles._selected(*args))) for args in selections))
+    assert len(rows) == len(selected) == 1
 
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, math.nan])
@@ -124,11 +157,12 @@ def test_report_chunks_rejects_parameters_outside_the_unit_interval(bad):
         next(report_chunks(np.array([0.3, 0.3]), np.array([True, False]), params))
 
 
-def test_report_chunks_yields_one_array_per_stack():
-    size = 2 * CHUNK + 3
+def test_report_chunks_yields_one_array_per_stack(monkeypatch):
+    monkeypatch.setattr(tangles, "CHUNK", 16)
+    size = 2 * tangles.CHUNK + 3
     params = np.tile([0.1, 0.2, 0.3], (size, 1))
     chunks = list(report_chunks(np.full(size, 0.5), np.zeros(size, dtype=bool), params))
-    assert [values.shape for values in chunks] == [(CHUNK, 20), (CHUNK, 20), (3, 20)]
+    assert [values.shape for values in chunks] == [(16, 20), (16, 20), (3, 20)]
     with pytest.raises(ValueError, match="differ in length"):
         next(report_chunks(np.full(size, 0.5), np.zeros(size - 1, dtype=bool), params))
 

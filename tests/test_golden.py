@@ -11,13 +11,12 @@ import hashlib
 
 import pytest
 
-from ghztangle import closedform
+from ghztangle import closedform, tangles
 from ghztangle.analysis import DEFAULT_R_VALUES, SweepSpec
 from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, CouplingConfig, coherence_factors
 from ghztangle.cli import main
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
-    CHUNK,
     TangleReport,
     full_reports,
     negativity,
@@ -115,11 +114,12 @@ def _public_route_report(r, cfg):
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("coupling", ["collective", "local_alice", "custom"])
-def test_full_reports_equal_public_route(kind, coupling):
+def test_full_reports_equal_public_route(kind, coupling, monkeypatch):
+    monkeypatch.setattr(tangles, "CHUNK", 16)
     spec = SweepSpec(kind, coupling, weights=(0.9, 0.4, 0.65), p_step=0.025)
     configs = [spec.config_at(p) for p in spec.p_grid()]
     points = [(r, cfg) for r in DEFAULT_R_VALUES for cfg in configs]
-    assert len(points) > CHUNK  # crosses a chunk boundary
+    assert len(points) > tangles.CHUNK  # crosses chunk boundaries
     got = full_reports([r for r, _ in points], [cfg for _, cfg in points])
     assert len(got) == len(points)
     for rep, (r, cfg) in zip(got, points):

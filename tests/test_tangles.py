@@ -9,7 +9,6 @@ from ghztangle.analysis import TANGLE_SELECTORS
 from ghztangle.channels import CouplingConfig, apply_channel, lift
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
-    CHUNK,
     TangleReport,
     full_report,
     full_reports,
@@ -277,9 +276,10 @@ def _bits(values):
 
 @pytest.mark.parametrize("kind", ["phase_flip", "phase_damping"])
 @pytest.mark.parametrize("coupling", ["collective", "local_alice", "custom"])
-def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling):
+def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling, monkeypatch):
+    monkeypatch.setattr(tangles, "CHUNK", 16)
     ps = [i / 130 for i in range(131)] + [0.5 + s * 10.0**-k for k in range(2, 9) for s in (-1.0, 1.0)]
-    assert len(ps) > CHUNK  # crosses a chunk boundary
+    assert len(ps) > tangles.CHUNK  # crosses chunk boundaries
     if coupling == "custom":
         cfgs = [CouplingConfig(kind, p, 0.5 * p, 0.25 * p, label="custom") for p in ps]
     else:
