@@ -17,6 +17,9 @@ import math
 import os
 import sys
 import tempfile
+from typing import NamedTuple
+
+import numpy as np
 
 from .analysis import (
     DEFAULT_R_VALUES,
@@ -74,10 +77,35 @@ def _atomic_write(path: str, pieces) -> None:
         raise
 
 
-# A row is its two strings, already rendered, then the numbers. 17
-# significant digits round-trip any double exactly.
-_CSV_ROW = "%s," + ",".join(["%.17g"] * len(NUMERIC_COLUMNS)) + "\n"
-_JSON_ROW = "  {%s, " + ", ".join(f"{json.dumps(name)}: %.17g" for name in NUMERIC_COLUMNS) + "}"
+class _Rows(NamedTuple):
+    """How a file's rows read. A row is ``lead`` (its two strings, rendered
+    once per file), then its numbers joined by ``comma``, then ``end``; rows
+    are joined by ``sep``. A number is its ``labels`` entry, if any, then its
+    ``%.17g`` text, the text of ``format(x, ".17g")``: 17 significant digits
+    round-trip any double exactly."""
+
+    lead: str
+    labels: np.ndarray | None
+    comma: str
+    end: str
+    sep: str
+
+    def text(self, values: np.ndarray) -> str:
+        """The rows of a C-contiguous float64 ``(n, 20)`` stack, joined by ``sep``."""
+        # A stack repeats many values (p0 = p1 = p2, the zero pair columns,
+        # n_B_AC = n_C_AB, |1 - 2p| under phase flip), so each distinct one
+        # is formatted once, all in one % call. Distinct by bits, not by
+        # value, so that -0.0 keeps its text -0.
+        keys, index = np.unique(values.view(np.int64), return_inverse=True)
+        texts = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\n")
+        cells = np.array(texts, dtype=object)[index.reshape(values.shape)]
+        if self.labels is not None:
+            cells = self.labels + cells
+        rows = [self.comma.join(row) for row in cells.tolist()]
+        return self.lead + (self.end + self.sep + self.lead).join(rows) + self.end
+
+
+_JSON_LABELS = np.array([f"{json.dumps(name)}: " for name in NUMERIC_COLUMNS], dtype=object)
 
 
 def write_reports_csv(path: str, spec: SweepSpec) -> int:
@@ -87,24 +115,25 @@ def write_reports_csv(path: str, spec: SweepSpec) -> int:
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow((spec.channel, spec.coupling))
-    return _write_rows(path, spec, ",".join(COLUMNS) + "\n", _CSV_ROW, buf.getvalue(), "", "")
+    rows = _Rows(buf.getvalue() + ",", None, ",", "\n", "")
+    return _write_rows(path, spec, ",".join(COLUMNS) + "\n", rows, "")
 
 
 def write_reports_json(path: str, spec: SweepSpec) -> int:
     """The same rows as ``write_reports_csv``, as a JSON list of objects."""
     pairs = zip(COLUMNS, (spec.channel, spec.coupling))
-    strings = ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in pairs)
-    return _write_rows(path, spec, "[\n", _JSON_ROW, strings, ",\n", "\n]\n")
+    lead = "  {" + "".join(f"{json.dumps(name)}: {json.dumps(value)}, " for name, value in pairs)
+    return _write_rows(path, spec, "[\n", _Rows(lead, _JSON_LABELS, ", ", "}", ",\n"), "\n]\n")
 
 
-def _write_rows(path: str, spec: SweepSpec, head: str, row: str, strings: str, sep: str, tail: str) -> int:
-    """Write ``head``, the grid's rows as ``row % (strings, *numbers)`` joined by ``sep``, and
-    ``tail``, one stack at a time, so memory holds CHUNK rows, not the file; returns the row count."""
+def _write_rows(path: str, spec: SweepSpec, head: str, rows: _Rows, tail: str) -> int:
+    """Write ``head``, the grid's rows as ``rows`` reads them, and ``tail``, one
+    stack at a time, so memory holds CHUNK rows, not the file; returns the row count."""
 
     def pieces():
         yield head
         for i, values in enumerate(sweep_chunks(spec)):
-            yield (sep if i else "") + sep.join([row % (strings, *numbers) for numbers in values.tolist()])
+            yield (rows.sep if i else "") + rows.text(values)
         yield tail
 
     _atomic_write(path, pieces())

@@ -49,10 +49,13 @@ def pd_one_tangle_BC(r, p0, p1, p2):
     return -1.0 / 16.0 + 0.5 * _sqrt(k2 * c4) + c4r + 0.125 * _sqrt(q * c4 + s2r4)
 
 
-def pd_pi_tangle(r, p0, p1, p2):
-    a = pd_one_tangle_A(r, p0, p1, p2)
-    bc = pd_one_tangle_BC(r, p0, p1, p2)
+def _pi(a, bc):
+    """The pi-tangle of the A | BC and B | AC (= C | AB) one-tangles."""
     return a * a / 3.0 + 2.0 * bc * bc / 3.0
+
+
+def pd_pi_tangle(r, p0, p1, p2):
+    return _pi(pd_one_tangle_A(r, p0, p1, p2), pd_one_tangle_BC(r, p0, p1, p2))
 
 
 def pf_one_tangle_A(r, p0, p1, p2):
@@ -72,6 +75,4 @@ def pf_one_tangle_BC(r, p0, p1, p2):
 
 
 def pf_pi_tangle(r, p0, p1, p2):
-    a = pf_one_tangle_A(r, p0, p1, p2)
-    bc = pf_one_tangle_BC(r, p0, p1, p2)
-    return a * a / 3.0 + 2.0 * bc * bc / 3.0
+    return _pi(pf_one_tangle_A(r, p0, p1, p2), pf_one_tangle_BC(r, p0, p1, p2))

@@ -150,10 +150,10 @@ class TangleReport:
 # The report fields after channel and coupling: the columns of report_chunks.
 NUMERIC_COLUMNS = tuple(f.name for f in fields(TangleReport))[2:]
 
-# cf_n_A_BC, cf_n_BC_AC and cf_pi of each channel, as closedform names.
+# cf_n_A_BC and cf_n_BC_AC of each channel, as closedform names.
 _CLOSED_FORMS = {
-    PHASE_DAMPING: ("pd_one_tangle_A", "pd_one_tangle_BC", "pd_pi_tangle"),
-    PHASE_FLIP: ("pf_one_tangle_A", "pf_one_tangle_BC", "pf_pi_tangle"),
+    PHASE_DAMPING: ("pd_one_tangle_A", "pd_one_tangle_BC"),
+    PHASE_FLIP: ("pf_one_tangle_A", "pf_one_tangle_BC"),
 }
 
 
@@ -182,9 +182,10 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     distinct-r state once (``_x_parts``: real, X shape, exact symmetry),
     and the negativity cross-check on each whole stack. The residuals,
     pi-tangle and deviations are array arithmetic in the order of their
-    scalar forms, and each closed form is called once per stack and channel
-    present, with r and the parameters as arrays, so a value does not
-    depend on the stack it was computed in.
+    scalar forms, and each one-tangle closed form is called once per stack
+    and channel present, with r and the parameters as arrays, and cf_pi
+    combined from their values, so a value does not depend on the stack it
+    was computed in.
     """
     if not len(r) == len(flip) == len(params):
         raise ValueError("r, flip and params differ in length")
@@ -241,14 +242,16 @@ def _stacks(diag, anti, index, flip, params, cuts):
 
 
 def _closed_forms(r, flip, params) -> np.ndarray:
-    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns of a stack, one row each: each
-    closed form called through ``closedform`` on the rows of its channel, as arrays."""
+    """The cf_n_A_BC, cf_n_BC_AC and cf_pi columns of a stack, one row each: the
+    A and BC closed forms called through ``closedform`` on the rows of their
+    channel, as arrays, and cf_pi combined from them as the pi-tangle forms do."""
     out = np.empty((3, len(r)))
     for kind, rows in ((PHASE_DAMPING, ~flip), (PHASE_FLIP, flip)):
         if rows.any():
             p0, p1, p2 = params[rows].T
             for column, name in zip(out, _CLOSED_FORMS[kind]):
                 column[rows] = getattr(closedform, name)(r[rows], p0, p1, p2)
+    out[2] = closedform._pi(out[0], out[1])
     return out
 
 

@@ -58,9 +58,9 @@ def test_sweep_writes_through_write_reports_csv_with_the_path_first(tracer, tmp_
     stats = tracer.aggregate(recorder.take())
     assert stats["cli.write_reports_csv"]["calls"] == 1
     assert stats["cli.write_reports_csv"]["bytes"] == os.path.getsize(out)
-    # One stack of one channel: one call of each of its three closed forms,
-    # the pi-tangle calling the other two again, 5 calls.
-    assert stats["closedform"]["calls"] == 5
+    # One stack of one channel: one call of each of its two one-tangle closed
+    # forms; the pi-tangle column is combined from their values, 2 calls.
+    assert stats["closedform"]["calls"] == 2
     # One state per distinct r, gathered into every stack that needs it.
     assert stats["rindler.ghz_rindler_density"]["calls"] == 2
 

@@ -1,22 +1,26 @@
 """Bit identity of the columnar report path.
 
 ``tangles.report_chunks`` computes a stack's report rows as arrays and
-calls each closed form once per stack and channel with r and parameter arrays;
-the CLI writers format a whole row with one ``%`` call. These tests hold
-each piece to its scalar counterpart, compared by ``float.hex`` so that
--0.0 and the last bit count.
+calls each one-tangle closed form once per stack and channel with r and
+parameter arrays; the CLI writers format each distinct value of a stack
+once. These tests hold each piece to its scalar counterpart, compared by
+``float.hex`` (or by the text of ``format(x, ".17g")``) so that -0.0 and
+the last bit count.
 """
 
 import dataclasses
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghztangle import cli, closedform, tangles
-from ghztangle.analysis import TANGLE_SELECTORS
+from ghztangle.analysis import TANGLE_SELECTORS, SweepSpec
 from ghztangle.channels import CHANNEL_KINDS, PHASE_DAMPING, PHASE_FLIP, CouplingConfig
 from ghztangle.tangles import NUMERIC_COLUMNS, full_report, pi_tangle, report_chunks, residual
 
@@ -167,12 +171,35 @@ def test_report_chunks_yields_one_array_per_stack(monkeypatch):
         next(report_chunks(np.full(size, 0.5), np.zeros(size - 1, dtype=bool), params))
 
 
-def test_row_format_equals_format_17g():
-    cells = (-0.0, 5e-324, 1e-16, 0.1, 1.0, 1e300)
-    values = [cells[i % len(cells)] for i in range(len(NUMERIC_COLUMNS))]
-    text = [format(x, ".17g") for x in values]
-    assert cli._CSV_ROW % ("phase_flip,custom", *values) == "phase_flip,custom," + ",".join(text) + "\n"
-    json_cells = ", ".join(f'"{name}": {cell}' for name, cell in zip(NUMERIC_COLUMNS, text))
-    assert cli._JSON_ROW % ('"channel": "phase_flip", "coupling": "custom"', *values) == (
-        '  {"channel": "phase_flip", "coupling": "custom", ' + json_cells + "}"
-    )
+# Signed zeros, subnormals, the extremes of the range and ordinary values.
+CELLS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, 1.7976931348623157e308)
+cell_values = st.one_of(st.sampled_from(CELLS), st.floats(allow_nan=False, allow_infinity=False))
+# Each stack is rows of 20 indices into a pool of a few values, so that
+# values repeat within a column and across columns.
+stack_indices = st.lists(st.lists(st.integers(0, 5), min_size=20, max_size=20), min_size=1, max_size=6)
+
+
+def _reference_file(stacks, fmt):
+    rows = [[format(x, ".17g") for x in row] for stack in stacks for row in stack]
+    if fmt == "csv":
+        return ",".join(cli.COLUMNS) + "\n" + "".join("phase_flip,custom," + ",".join(row) + "\n" for row in rows)
+    cells = [", ".join(f'"{name}": {text}' for name, text in zip(NUMERIC_COLUMNS, row)) for row in rows]
+    return "[\n" + ",\n".join('  {"channel": "phase_flip", "coupling": "custom", ' + row + "}" for row in cells) + "\n]\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(cell_values, min_size=6, max_size=6), stacks=st.lists(stack_indices, min_size=1, max_size=3))
+@example(pool=[-0.0, 5e-324, 1e-16, 0.1, 1.0, 1e300], stacks=[[[i % 6 for i in range(20)]]])
+@example(pool=[0.0, -0.0, 0.0, -0.0, 0.0, -0.0], stacks=[[[(i + j) % 2 for i in range(20)] for j in range(4)]])
+def test_row_format_equals_format_17g(pool, stacks):
+    # Both writers, fed these stacks in place of the grid's, write each
+    # number as format(x, ".17g") writes it: each stack's distinct bit
+    # patterns are formatted once, and -0.0 must stay -0, not become 0.
+    stacks = [np.array([[pool[i] for i in row] for row in stack], dtype=float) for stack in stacks]
+    spec = SweepSpec("phase_flip", "custom", weights=(1.0, 0.5, 0.25))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "sweep_chunks", lambda _: iter(stacks)):
+        for fmt, write in (("csv", cli.write_reports_csv), ("json", cli.write_reports_json)):
+            path = os.path.join(tmp, f"rows.{fmt}")
+            write(path, spec)
+            with open(path, newline="") as handle:
+                assert handle.read() == _reference_file(stacks, fmt), fmt
