@@ -20,8 +20,10 @@ _COUPLING_WEIGHTS = {"collective": (1.0, 1.0, 1.0), "local_alice": (1.0, 0.0, 0.
 REBOUND_TOL = 1e-6
 BISECT_WIDTH = 1e-7
 # Bisection levels of the rebound onset evaluated per stack: every midpoint
-# the next levels can visit, at most 2**_LOOKAHEAD - 1 points.
-_LOOKAHEAD = 4
+# the next levels can visit, at most 2**_LOOKAHEAD - 1 points. An onset
+# bracket is at most one grid step (0.01) wide, so BISECT_WIDTH is reached in
+# at most 17 levels; 6 is the smallest lookahead that takes 3 stacks for them.
+_LOOKAHEAD = 6
 
 CLOSED_FORM_TOL = 1e-9
 # verify's worst gaps closer than this, relatively, are a tie: the first is kept.
@@ -98,6 +100,10 @@ class SweepSpec:
         return np.multiply.outer(np.asarray(ps, dtype=float), self._weights())
 
 
+# find_esd's rebound grid: the default one, the same for every search.
+_ESD_GRID = tuple(SweepSpec(PHASE_FLIP).p_grid())
+
+
 def sweep(spec: SweepSpec) -> list[TangleReport]:
     """All reports on the grid, r-major, p ascending within each r."""
     rows = (row for values in sweep_chunks(spec) for row in values.tolist())
@@ -155,11 +161,12 @@ def find_esd(
     there is none. The two-tangles always are dead (p_star = 0).
 
     A rebound above REBOUND_TOL is looked for on the default p grid beyond
-    p_star; ``_bisect`` narrows its onset below the first point that
-    rebounds. ``tangles._selected`` gives the values from the state's X
-    parts, split and checked once per search. RuntimeError if the state is
-    not such an X-state; ValueError for weights other than (1, 1, 1) unless
-    coupling is "custom".
+    p_star, in one stack, and a search with no grid point beyond p_star
+    evaluates nothing; ``_bisect`` narrows the onset below the first point
+    that rebounds, in at most three more stacks. ``tangles._selected``
+    gives the values from the state's X parts, split and checked once per
+    search. RuntimeError if the state is not such an X-state; ValueError
+    for weights other than (1, 1, 1) unless coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
@@ -174,8 +181,9 @@ def find_esd(
     def above(ps) -> list[bool]:
         return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, parts)]
 
-    beyond = [p for p in spec.p_grid() if p > p_star]
-    after = next((i for i, up in enumerate(above(beyond)) if up), None)
+    beyond = [p for p in _ESD_GRID if p > p_star]
+    # With no grid point beyond p_star (p_star = 1) there is no rebound and nothing to evaluate.
+    after = next((i for i, up in enumerate(above(beyond)) if up), None) if beyond else None
     if after is None:
         return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
     onset = _bisect(beyond[after - 1] if after else p_star, beyond[after], above)
@@ -186,8 +194,9 @@ def _bisect(lo: float, hi: float, decide) -> float:
     """Bisect (lo, hi] down to BISECT_WIDTH and return its upper end.
 
     ``decide(ps)`` says for each p whether the sought point lies at or
-    below it. The midpoints of the next _LOOKAHEAD levels are decided in
-    one call and then walked: the midpoints and decisions are those of a
+    below it. The midpoints of the next _LOOKAHEAD levels, at most 63, are
+    decided in one call and then walked, so a bracket of one grid step
+    takes at most three calls: the midpoints and decisions are those of a
     one-point-at-a-time bisection, and since a decision does not depend on
     the other points of its call, neither does the result.
     """

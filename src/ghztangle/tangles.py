@@ -8,11 +8,12 @@ the average of the three residuals.
 ``report_chunks`` evaluates many points at once, given as arrays: it
 stacks CHUNK points at a time through every stage and yields each stack's
 report rows as one float array. A stack costs a fixed number of numpy
-calls, whatever its size: one solve for all its one-vs-rest cuts, one sort
-for its pair cuts, five closed-form calls per channel. Each state is an X
-state, carried as its diagonal and anti-diagonal (``_x_parts``). Each stage
-does exactly the arithmetic of its single-matrix counterpart, so a report
-does not depend on the stack it was computed in. ``full_reports`` turns
+calls, whatever its size: one solve for all its one-vs-rest cuts, one
+gather for its pair cuts (sorted once per distinct state), two
+closed-form calls per channel. Each state is an X state, carried as its
+diagonal and anti-diagonal (``_x_parts``). Each stage does exactly the
+arithmetic of its single-matrix counterpart, so a report does not depend
+on the stack it was computed in. ``full_reports`` turns
 ``CouplingConfig`` points into those arrays and the rows into
 ``TangleReport`` objects.
 """
@@ -63,14 +64,14 @@ def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     """-2 * sum(negative w) over the last axis, cross-checked against sum(|w|) - 1.
 
     A spectrum without a negative eigenvalue gives exactly +0.0. A spectrum
-    holding NaN or an infinity fails the cross-check.
+    holding NaN or an infinity fails the cross-check; an empty stack passes.
     """
     from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1) + 0.0
     from_norm = np.abs(w).sum(axis=-1) - 1.0
     # An infinite spectrum gives inf - inf here: NaN, which fails the check.
     with np.errstate(invalid="ignore"):
         gap = np.abs(from_norm - from_negatives)
-    if not np.max(gap) <= CROSS_CHECK_TOL:
+    if not np.max(gap, initial=0.0) <= CROSS_CHECK_TOL:
         raise RuntimeError("negativity cross-check failed")
     return from_negatives
 
@@ -225,20 +226,20 @@ def _stacks(diag, anti, index, flip, params, cuts):
     """``(start, n)`` for each stack of CHUNK points from ``start``, where
     point i is state ``index[i]`` of ``diag`` and ``anti``, dephased, and
     ``n`` holds the negativities of the given cuts, ascending, one row per
-    cut. A stack's one-vs-rest cuts are solved in one call and its pair cuts
-    sorted in one, each group cross-checked once."""
+    cut. A stack's one-vs-rest cuts are solved in one call and cross-checked
+    once. The channel keeps the diagonal, so the pair cuts are sorted and
+    cross-checked once per distinct state and gathered per point."""
     ones = np.array([k for k in cuts if k < 3], dtype=int)
     pairs = np.array([k - 3 for k in cuts if k >= 3], dtype=int)
+    n_pairs = _negativity_from_spectra(_pair_spectra(diag, pairs)) if len(pairs) else np.empty((len(diag), 0))
     for start in range(0, len(index), CHUNK):
         stop = start + CHUNK
         rows = index[start:stop]
-        d, a = diag[rows], dephase_x(flip[start:stop], params[start:stop], anti[rows])
-        spectra = []
+        n = n_pairs[rows]
         if len(ones):
-            spectra.append(_one_vs_rest_spectra(d, a, ones))
-        if len(pairs):
-            spectra.append(_pair_spectra(d, pairs))
-        yield start, np.concatenate([_negativity_from_spectra(w) for w in spectra], axis=1).T
+            a = dephase_x(flip[start:stop], params[start:stop], anti[rows])
+            n = np.concatenate([_negativity_from_spectra(_one_vs_rest_spectra(diag[rows], a, ones)), n], axis=1)
+        yield start, n.T
 
 
 def _closed_forms(r, flip, params) -> np.ndarray:

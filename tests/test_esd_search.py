@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from ghztangle import tangles
+from ghztangle import analysis, tangles
 from ghztangle.analysis import BISECT_WIDTH, REBOUND_TOL, TANGLE_SELECTORS, EsdResult, SweepSpec, find_esd
 from ghztangle.cli import main
+from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import full_report, full_reports
 from oracles import mp_one_tangles
 
@@ -100,8 +101,10 @@ COUPLINGS = [
     # With weight 0.6 the phase-flip death lies at p = 5/6, between grid points.
     ("custom", (0.6, 0.6, 0.6)),
     ("custom", (1.0, 0.5, 0.25)),
+    # With weight 0.5 the phase-flip death lies at p = 1: nothing beyond it to rebound on.
+    ("custom", (0.5, 0.5, 0.5)),
 ]
-COUPLING_IDS = ["collective", "local_alice", "custom", "custom_0.6", "custom_1_0.5_0.25"]
+COUPLING_IDS = ["collective", "local_alice", "custom", "custom_0.6", "custom_1_0.5_0.25", "custom_0.5"]
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
@@ -114,15 +117,15 @@ def test_find_esd_equals_sequential_bisection(channel, coupling, weights):
             want = esd_by_sequential_bisection(channel, r, tangle, coupling, weights)
             assert repr(got) == repr(want)
             rebounds += got.rebound
-    # Phase flip rebounds after its death at p = 1/2; phase damping dies at p = 1.
-    assert (rebounds > 0) == (channel == "phase_flip")
+    # Phase flip rebounds after a death before p = 1; at weight 0.5, and
+    # under phase damping always, the death is at p = 1.
+    assert (rebounds > 0) == (channel == "phase_flip" and max(weights) > 0.5)
 
 
 # Weights with zeros on and off the 0.01 grid, at p = 1 and beyond it.
 DEATH_COUPLINGS = [
     *COUPLINGS,
     ("custom", (0.7, 0.55, 0.9)),
-    ("custom", (0.5, 0.5, 0.5)),
     ("custom", (0.3, 0.2, 0.1)),
     ("custom", (5e-324, 0.0, 0.0)),
 ]
@@ -162,10 +165,11 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
 @pytest.mark.parametrize(
     "channel, tangle, most",
     [
-        # One stack for the grid points beyond p_star, then five for the 17
-        # levels that narrow the onset bracket from 0.01 to BISECT_WIDTH:
-        # one solve per stack for a one-tangle, three for the pi-tangle,
-        # whose pair cuts are diagonal and solve nothing.
+        # Upper bounds: one solve per stack, which holds all the one-vs-rest
+        # cuts it reads (pair cuts are diagonal and solve nothing); one stack
+        # for the grid points beyond p_star and three for the 17 levels that
+        # narrow the onset bracket from 0.01 to BISECT_WIDTH.
+        # test_find_esd_evaluates_only_what_it_reads pins the stack count.
         ("phase_flip", "n_A_BC", 6),
         ("phase_flip", "pi_tangle", 18),
         # Death on the last grid point: nothing beyond it to rebound on.
@@ -186,3 +190,47 @@ def test_find_esd_work_is_bounded(channel, tangle, most, monkeypatch):
     assert len(calls) <= most
     if most == 0:
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "channel, tangle, coupling, weights, stacks",
+    [
+        # p_star = 1: no grid point lies beyond it, so nothing is evaluated.
+        ("phase_damping", "n_A_BC", "collective", (1.0, 1.0, 1.0), 0),
+        ("phase_damping", "pi_tangle", "collective", (1.0, 1.0, 1.0), 0),
+        ("phase_damping", "n_A_BC", "local_alice", (1.0, 1.0, 1.0), 0),
+        ("phase_damping", "pi_tangle", "local_alice", (1.0, 1.0, 1.0), 0),
+        ("phase_flip", "n_A_BC", "custom", (0.5, 0.5, 0.5), 0),
+        # One stack for the grid points beyond p_star = 1/2, then three of at
+        # most 63 midpoints for the 17 levels from 0.01 down to BISECT_WIDTH.
+        ("phase_flip", "n_A_BC", "collective", (1.0, 1.0, 1.0), 4),
+        ("phase_flip", "pi_tangle", "collective", (1.0, 1.0, 1.0), 4),
+    ],
+    ids=["pd-nA", "pd-pi", "pd-nA-alice", "pd-pi-alice", "pf-nA-custom0.5", "pf-nA", "pf-pi"],
+)
+def test_find_esd_evaluates_only_what_it_reads(channel, tangle, coupling, weights, stacks, monkeypatch):
+    calls = []
+    selected = analysis._selected
+
+    def counted(kind, r, params, tangle, parts=None):
+        calls.append(len(params))
+        return selected(kind, r, params, tangle, parts)
+
+    monkeypatch.setattr(analysis, "_selected", counted)
+    got = find_esd(channel, math.pi / 4, tangle=tangle, coupling=coupling, weights=weights)
+    assert len(calls) == stacks
+    assert max(calls[1:], default=0) <= 2**6 - 1
+    assert got.rebound == (stacks > 0)
+
+
+def test_find_esd_checks_the_state_before_returning_early(monkeypatch):
+    # A phase-damping search evaluates nothing, yet still rejects a state
+    # that is not an X state.
+    def with_second_coherence(rb, rc):
+        rho = ghz_rindler_density(rb, rc)
+        rho[1, 6] = rho[6, 1] = 0.01
+        return rho
+
+    monkeypatch.setattr(analysis, "ghz_rindler_density", with_second_coherence)
+    with pytest.raises(RuntimeError, match="not an X-state"):
+        find_esd("phase_damping", 0.3)
