@@ -7,9 +7,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _first_zero
+from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors, _first_zero
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import NUMERIC_COLUMNS, TangleReport, _selected, _x_parts, report_chunks
+from .tangles import _SELECTOR_CUTS, NUMERIC_COLUMNS, TangleReport, _combine, _selected, _x_parts, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 COUPLING_LABELS = ("collective", "local_alice", "custom")
@@ -19,11 +19,6 @@ _COUPLING_WEIGHTS = {"collective": (1.0, 1.0, 1.0), "local_alice": (1.0, 0.0, 0.
 # A tangle back above this after a death marks a rebound.
 REBOUND_TOL = 1e-6
 BISECT_WIDTH = 1e-7
-# Bisection levels of the rebound onset evaluated per stack: every midpoint
-# the next levels can visit, at most 2**_LOOKAHEAD - 1 points. An onset
-# bracket is at most one grid step (0.01) wide, so BISECT_WIDTH is reached in
-# at most 17 levels; 6 is the smallest lookahead that takes 3 stacks for them.
-_LOOKAHEAD = 6
 
 CLOSED_FORM_TOL = 1e-9
 # verify's worst gaps closer than this, relatively, are a tie: the first is kept.
@@ -133,8 +128,8 @@ class EsdResult:
 def _check_x_state(r: float) -> tuple[np.ndarray, np.ndarray]:
     """``tangles._x_parts(ghz_rindler_density(r, r))``; RuntimeError unless
     its only nonzero entries are rho[j, j] for j = 0..3 and 7, and the
-    coherence rho[0, 7] with its mirror. find_esd's death criterion rests
-    on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
+    coherence rho[0, 7] with its mirror. find_esd's death criterion and
+    ``_x_one_tangles`` rest on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
     diag, anti = _x_parts(ghz_rindler_density(r, r))
     if diag[:, 4:7].any() or anti[:, 1:7].any():
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
@@ -161,12 +156,14 @@ def find_esd(
     there is none. The two-tangles always are dead (p_star = 0).
 
     A rebound above REBOUND_TOL is looked for on the default p grid beyond
-    p_star, in one stack, and a search with no grid point beyond p_star
-    evaluates nothing; ``_bisect`` narrows the onset below the first point
-    that rebounds, in at most three more stacks. ``tangles._selected``
-    gives the values from the state's X parts, split and checked once per
-    search. RuntimeError if the state is not such an X-state; ValueError
-    for weights other than (1, 1, 1) unless coupling is "custom".
+    p_star by ``_search``; a search with no grid point there evaluates
+    nothing. ``_search`` runs first on the closed form ``_x_one_tangles``,
+    then every point it asked is evaluated in one ``tangles._selected``
+    stack, from the state's X parts split and checked once per search. If
+    each decision is the predicted one, the search asks those points and
+    has that result; if not, it runs again on the evaluated decisions, one
+    stack per further point. RuntimeError if the state is not such an
+    X-state; ValueError for weights other than (1, 1, 1) unless coupling is "custom".
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
@@ -177,48 +174,65 @@ def find_esd(
     p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, spec._weights())
     if p_star is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
+    beyond = [p for p in _ESD_GRID if p > p_star]
+    # With no grid point beyond p_star (p_star = 1) there is no rebound and nothing to evaluate.
+    if not beyond:
+        return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
 
     def above(ps) -> list[bool]:
         return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, parts)]
 
-    beyond = [p for p in _ESD_GRID if p > p_star]
-    # With no grid point beyond p_star (p_star = 1) there is no rebound and nothing to evaluate.
-    after = next((i for i, up in enumerate(above(beyond)) if up), None) if beyond else None
+    diag, anti = (a[0].tolist() for a in parts)
+    cuts, ws = _SELECTOR_CUTS[tangle], spec._weights()
+    asked = {}  # point -> predicted decision, in the order asked
+
+    def predicted(p: float) -> bool:
+        n = _x_one_tangles(channel, diag, anti, [w * p for w in ws]) + [0.0] * 3  # pair tangles are 0
+        asked[p] = _combine([n[k] for k in cuts]) > REBOUND_TOL
+        return asked[p]
+
+    onset = _search(beyond, p_star, predicted)
+    known = dict(zip(asked, above(list(asked))))
+    if known != asked:
+        onset = _search(beyond, p_star, lambda p: known[p] if p in known else above([p])[0])
+    return EsdResult(channel, coupling, r, tangle, p_star, False, onset is not None, onset)
+
+
+def _x_one_tangles(channel: str, diag: list[float], anti: list[float], params) -> list[float]:
+    """The one-tangles (A|BC, B|AC, C|AB) on Python floats of the state ``_check_x_state``
+    split, after the channel at ``params``. Its coherence becomes c = rho[0, 7] f0 f1 f2,
+    and each cut's partial transpose holds one non-diagonal block [[d, c], [c, 0]],
+    d = rho[3, 3], rho[2, 2] or rho[1, 1], whose negativity sqrt(d^2 + 4c^2) - d is
+    written without cancellation (Yu and Eberly, QIC 7, 459, 2007)."""
+    c = anti[0]
+    for x in params:
+        c *= _coherence_factors(channel, x)
+    b = 4.0 * c * c
+    return [b / (math.sqrt(d * d + b) + d) if b else 0.0 for d in (diag[3], diag[2], diag[1])]
+
+
+def _search(beyond: list[float], p_star: float, decide) -> float | None:
+    """The rebound onset, or None: the first grid point p in ``beyond`` with
+    ``decide(p)``, then ``_bisect`` from the point before it, or p_star."""
+    after = next((i for i, p in enumerate(beyond) if decide(p)), None)
     if after is None:
-        return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
-    onset = _bisect(beyond[after - 1] if after else p_star, beyond[after], above)
-    return EsdResult(channel, coupling, r, tangle, p_star, False, True, onset)
+        return None
+    return _bisect(beyond[after - 1] if after else p_star, beyond[after], decide)
 
 
 def _bisect(lo: float, hi: float, decide) -> float:
     """Bisect (lo, hi] down to BISECT_WIDTH and return its upper end.
 
-    ``decide(ps)`` says for each p whether the sought point lies at or
-    below it. The midpoints of the next _LOOKAHEAD levels, at most 63, are
-    decided in one call and then walked, so a bracket of one grid step
-    takes at most three calls: the midpoints and decisions are those of a
-    one-point-at-a-time bisection, and since a decision does not depend on
-    the other points of its call, neither does the result.
+    ``decide(p)`` says whether the sought point lies at or below p; each
+    midpoint is decided once, in order.
     """
-    known = {}
     while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2.0
-        if mid not in known:
-            ahead = _midpoints(lo, hi, _LOOKAHEAD)
-            known = dict(zip(ahead, decide(ahead)))
-        if known[mid]:
+        if decide(mid):
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint the next ``levels`` steps of bisecting (lo, hi) can visit."""
-    if levels == 0 or not hi - lo > BISECT_WIDTH:
-        return []
-    mid = (lo + hi) / 2.0
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 def _gaps(col: dict):

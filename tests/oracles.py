@@ -129,6 +129,19 @@ def mp_one_tangles(r: float, kind: str, p0: float, p1: float, p2: float, dps: in
         return cut(s2 * s2), cut(c2 * s2), cut(c2 * s2)
 
 
+def mp_eigenvalues(m, dps: int = 50):
+    """The eigenvalues of the Hermitian matrix ``m``, ascending, at ``dps`` significant digits.
+
+    ``mpmath.eighe`` of the entries taken as the exact values of their
+    floats, so it measures a float solver's own error on that matrix.
+    Returns mpmath numbers.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return sorted(mpmath.eighe(mpmath.matrix(np.asarray(m, dtype=complex).tolist()), eigvals_only=True))
+
+
 def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T

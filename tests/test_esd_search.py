@@ -2,7 +2,9 @@
 
 ``find_esd`` takes the death from the coupling weights, evaluates only
 the selected tangle, skips the rebound scan where no grid point lies
-beyond the death, and bisects the rebound onset several levels per stack.
+beyond the death, and evaluates every point its rebound search asks in
+one stack, chosen by closed-form one-tangles and confirmed by the
+pipeline, which searches alone where they disagree.
 ``esd_by_sequential_bisection`` below takes the death from exact
 fractions and bisects the onset one ``full_report`` per midpoint; the two
 must agree to the last bit.
@@ -166,12 +168,11 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
     "channel, tangle, most",
     [
         # Upper bounds: one solve per stack, which holds all the one-vs-rest
-        # cuts it reads (pair cuts are diagonal and solve nothing); one stack
-        # for the grid points beyond p_star and three for the 17 levels that
-        # narrow the onset bracket from 0.01 to BISECT_WIDTH.
+        # cuts it reads (pair cuts are diagonal and solve nothing), and one
+        # stack for the scan and bisection points together.
         # test_find_esd_evaluates_only_what_it_reads pins the stack count.
-        ("phase_flip", "n_A_BC", 6),
-        ("phase_flip", "pi_tangle", 18),
+        ("phase_flip", "n_A_BC", 1),
+        ("phase_flip", "pi_tangle", 1),
         # Death on the last grid point: nothing beyond it to rebound on.
         ("phase_damping", "n_A_BC", 0),
         ("phase_damping", "pi_tangle", 0),
@@ -201,14 +202,22 @@ def test_find_esd_work_is_bounded(channel, tangle, most, monkeypatch):
         ("phase_damping", "n_A_BC", "local_alice", (1.0, 1.0, 1.0), 0),
         ("phase_damping", "pi_tangle", "local_alice", (1.0, 1.0, 1.0), 0),
         ("phase_flip", "n_A_BC", "custom", (0.5, 0.5, 0.5), 0),
-        # One stack for the grid points beyond p_star = 1/2, then three of at
-        # most 63 midpoints for the 17 levels from 0.01 down to BISECT_WIDTH.
-        ("phase_flip", "n_A_BC", "collective", (1.0, 1.0, 1.0), 4),
-        ("phase_flip", "pi_tangle", "collective", (1.0, 1.0, 1.0), 4),
+        # One stack for the grid points the scan beyond p_star = 1/2 asks and
+        # the 17 midpoints that narrow the onset from 0.01 to BISECT_WIDTH.
+        ("phase_flip", "n_A_BC", "collective", (1.0, 1.0, 1.0), 1),
+        ("phase_flip", "pi_tangle", "collective", (1.0, 1.0, 1.0), 1),
     ],
     ids=["pd-nA", "pd-pi", "pd-nA-alice", "pd-pi-alice", "pf-nA-custom0.5", "pf-nA", "pf-pi"],
 )
 def test_find_esd_evaluates_only_what_it_reads(channel, tangle, coupling, weights, stacks, monkeypatch):
+    calls = count_selected(monkeypatch)
+    got = find_esd(channel, math.pi / 4, tangle=tangle, coupling=coupling, weights=weights)
+    assert len(calls) == stacks
+    assert got.rebound == (stacks > 0)
+
+
+def count_selected(monkeypatch) -> list[int]:
+    """The sizes of the ``analysis._selected`` stacks made from now on, in order."""
     calls = []
     selected = analysis._selected
 
@@ -217,10 +226,72 @@ def test_find_esd_evaluates_only_what_it_reads(channel, tangle, coupling, weight
         return selected(kind, r, params, tangle, parts)
 
     monkeypatch.setattr(analysis, "_selected", counted)
-    got = find_esd(channel, math.pi / 4, tangle=tangle, coupling=coupling, weights=weights)
-    assert len(calls) == stacks
-    assert max(calls[1:], default=0) <= 2**6 - 1
-    assert got.rebound == (stacks > 0)
+    return calls
+
+
+# The searches of test_find_esd_equals_sequential_bisection under phase flip,
+# the only channel whose searches evaluate anything.
+SEARCHES = [
+    (coupling, weights, r, tangle)
+    for coupling, weights in COUPLINGS
+    for r in (0.0, math.pi / 8, math.pi / 4 + 1e-3)
+    for tangle in ("n_A_BC", "n_C_AB", "pi_A", "pi_tangle", "n_AB")
+]
+
+
+def test_find_esd_confirms_its_prediction_in_one_stack(monkeypatch):
+    # A predictor that drifts from the pipeline fails here, not only slows the search.
+    calls = count_selected(monkeypatch)
+    rebounds = 0
+    for coupling, weights, r, tangle in SEARCHES:
+        calls.clear()
+        got = find_esd("phase_flip", r, tangle=tangle, coupling=coupling, weights=weights)
+        assert len(calls) == 1 if got.rebound else len(calls) <= 1, (coupling, weights, r, tangle)
+        rebounds += got.rebound
+    assert rebounds > 0
+
+
+@pytest.mark.parametrize(
+    "predictor",
+    [
+        lambda one_tangles: lambda *args: [n * (1.0 + 1e-3) for n in one_tangles(*args)],
+        lambda one_tangles: lambda *args: [1.0, 1.0, 1.0],
+    ],
+    ids=["scaled", "always_rebounded"],
+)
+def test_find_esd_is_the_sequential_search_when_the_prediction_fails(predictor, monkeypatch):
+    monkeypatch.setattr(analysis, "_x_one_tangles", predictor(analysis._x_one_tangles))
+    calls = count_selected(monkeypatch)
+    most = 0
+    for coupling, weights, r, tangle in SEARCHES:
+        calls.clear()
+        got = find_esd("phase_flip", r, tangle=tangle, coupling=coupling, weights=weights)
+        want = esd_by_sequential_bisection("phase_flip", r, tangle, coupling, weights)
+        assert repr(got) == repr(want)
+        most = max(most, len(calls))
+    # Some search went on past the one stack of predicted points.
+    assert most > 1
+
+
+@pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
+def test_predicted_one_tangles_match_the_mpmath_route(channel):
+    checked = 0
+    for coupling, weights in DEATH_COUPLINGS:
+        spec = SweepSpec(channel, coupling, weights=weights)
+        death = exact_death(channel, "n_A_BC", spec.config_at(1.0).params)
+        near = [] if death is None else [p for p in (float(death) - 1e-9, float(death) + 1e-9) if p <= 1]
+        for r in DEATH_RS:
+            diag, anti = (a[0].tolist() for a in analysis._check_x_state(r))
+            for p in (*analysis._ESD_GRID[::5], *near):
+                params = spec.config_at(p).params
+                got = analysis._x_one_tangles(channel, diag, anti, params)
+                for n, exact in zip(got, mp_one_tangles(r, channel, *params)):
+                    if exact == 0:
+                        assert n == 0.0
+                    else:
+                        assert abs(n - exact) <= 1e-13 * exact, (coupling, weights, r, p)
+                        checked += 1
+    assert checked > 0
 
 
 def test_find_esd_checks_the_state_before_returning_early(monkeypatch):
