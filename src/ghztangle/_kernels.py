@@ -8,7 +8,8 @@ of Forsythe and Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g``
 real and ``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase,
 so a real pivot (``u = 1``) gets the real rotation's arithmetic. Each
 rotation computes the new rows p and q and mirrors them into columns p and
-q, which is exact for a Hermitian matrix: a few list comprehensions, where
+q, which is exact for the exactly Hermitian matrices that
+``linalg._checked_hermitian`` gives it: a few list comprehensions, where
 numpy slices cost about 25 calls per rotation.
 
 The kernel skips a pivot that is negligible against its own diagonal,
@@ -36,15 +37,11 @@ def jacobi_sweeps(a, v, max_sweeps):
     """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
     Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
-    them. ``a`` must be exactly Hermitian, as every matrix the public
-    routes give it is: symmetrized as ``(m + m^dag) / 2``. That is what
-    lets one rotation compute only the new rows p and q and mirror them
-    into columns p and q.
+    them. ``a`` must be square and exactly Hermitian, unchecked here: its
+    one caller passes ``linalg._checked_hermitian`` output, square by
+    ``as_matrix``, and exactly Hermitian because in ``(m^H + m) / 2`` each
+    mirror pair adds the same two entries, conjugated and swapped.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("jacobi_sweeps needs a square matrix")
-    if not np.array_equal(a, a.conj().T):
-        raise ValueError("jacobi_sweeps needs an exactly symmetric (Hermitian) matrix")
     n = a.shape[0]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     rows = a.tolist()

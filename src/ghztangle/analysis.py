@@ -169,7 +169,7 @@ def find_esd(
         raise ValueError(f"unknown tangle selector {tangle!r}")
     if coupling != "custom" and tuple(weights) != (1.0, 1.0, 1.0):
         raise ValueError("weights apply only to coupling 'custom'")
-    spec = SweepSpec(channel, coupling, weights=weights, r_values=(check_accel_param(r),))
+    spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
     parts = _check_x_state(r)
     p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, spec._weights())
     if p_star is None:

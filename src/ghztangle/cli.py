@@ -8,10 +8,8 @@ unwritable paths), 2 numerical failure, 3 verification failure under
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -111,11 +109,9 @@ _JSON_LABELS = np.array([f"{json.dumps(name)}: " for name in NUMERIC_COLUMNS], d
 def write_reports_csv(path: str, spec: SweepSpec) -> int:
     """Write the report rows of ``spec``'s grid as CSV; returns how many.
 
-    Every row shares the spec's channel and coupling strings, rendered once.
+    Every row shares the spec's channel and coupling identifiers, which CSV never quotes.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow((spec.channel, spec.coupling))
-    rows = _Rows(buf.getvalue() + ",", None, ",", "\n", "")
+    rows = _Rows(f"{spec.channel},{spec.coupling},", None, ",", "\n", "")
     return _write_rows(path, spec, ",".join(COLUMNS) + "\n", rows, "")
 
 

@@ -15,9 +15,10 @@ arguments with ``_checked_keep``, once, then calls the internal form that
 skips them (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``),
 as ``tangles.negativity`` and ``tangles.two_tangle`` do. Hermiticity
 (``ValueError``) and convergence (``RuntimeError``) are checked on every
-solve, so that NaN fails them. ``x_eigenvalues_stack`` solves the report
-pipeline's X matrices, given as diagonals and anti-diagonals, by rotating
-each 2x2 block of the X once; ``tangles._x_parts`` checks their shape.
+solve, so that NaN fails them; ``_checked_hermitian`` makes the kernel's
+input exactly Hermitian. ``x_eigenvalues_stack`` solves the report
+pipeline's X matrices, given as float64 diagonals and anti-diagonals, by
+rotating each 2x2 block once; ``tangles._x_parts`` makes and checks them.
 """
 
 from __future__ import annotations
@@ -126,10 +127,8 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     the one rotation ``_kernels.jacobi_sweeps`` would give it, with the same
     skip rule and IEEE operations, so rows are bit-identical to
     ``hermitian_eigenvalues`` of a complex copy of each matrix; the parts
-    are not changed.
+    are not changed. Float64 is unchecked: ``_x_parts`` and ``dephase_x`` make it.
     """
-    if diag.dtype != np.float64 or anti.dtype != np.float64:
-        raise TypeError("x_eigenvalues_stack needs float64 parts")
     d = diag.shape[-1]
     k = d // 2
     w = diag.copy()

@@ -260,8 +260,7 @@ def _one_vs_rest_spectra(diag, anti, cuts) -> np.ndarray:
     """``(N, len(cuts), 8)`` spectra of the one-vs-rest cuts k = 0, 1, 2
     (A|BC, B|AC, C|AB) of X states, all solved in one call: each cut's
     partial transpose is the X matrix with anti-diagonal ``anti[:, _FLIPPED[k]]``."""
-    if len(cuts) > 1:
-        diag = np.repeat(diag, len(cuts), axis=0)
+    diag = np.repeat(diag, len(cuts), axis=0)
     return x_eigenvalues_stack(diag, anti[:, _FLIPPED[cuts]].reshape(-1, 8)).reshape(len(anti), len(cuts), 8)
 
 
@@ -271,11 +270,6 @@ def _pair_spectra(diag, pairs) -> np.ndarray:
     joins states that differ in all three qubits, so a partial trace drops
     it (Yu and Eberly, 2007)."""
     return np.sort(diag[:, _PAIR_LOW[pairs]] + diag[:, _PAIR_HIGH[pairs]])
-
-
-def _cut_spectra(diag, anti, k: int) -> np.ndarray:
-    """The ``(N, 8)`` or ``(N, 4)`` spectra of cut k alone, as ``_stacks`` computes them."""
-    return (_one_vs_rest_spectra(diag, anti, [k]) if k < 3 else _pair_spectra(diag, [k - 3]))[:, 0]
 
 
 def _combine(n: np.ndarray) -> np.ndarray:

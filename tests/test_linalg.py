@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ghztangle import linalg
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
+from ghztangle.tangles import negativity, two_tangle
 
 from oracles import random_density_matrix, random_hermitian, ref_partial_trace, ref_partial_transpose
 
@@ -184,14 +187,30 @@ def test_as_matrix_rejects_nonsquare():
         linalg.as_matrix(np.zeros((2, 3)))
 
 
+def _near_hermitian(rng, d: int, kind: str, gap: float) -> np.ndarray:
+    # A random unit-trace state, real or complex, plus noise up to gap off
+    # Hermitian that leaves the diagonal alone, so the trace stays one.
+    a = rng.normal(size=(d, d))
+    noise = rng.uniform(-gap / 4, gap / 4, size=(d, d))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(d, d))
+        noise = noise + 1j * rng.uniform(-gap / 4, gap / 4, size=(d, d))
+    np.fill_diagonal(noise, 0.0)
+    m = a @ a.conj().T
+    return m / np.trace(m).real + noise
+
+
 def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
     # A real input stays float64 from as_matrix to the kernel, where its
     # rotations run on Python floats; its complex copy gets the same bytes.
-    seen = []
+    # Every public route hands the kernel a square, exactly Hermitian
+    # matrix, which its mirrored rotation needs and does not check.
+    seen, exact = [], []
     kernel = linalg._kernels.jacobi_sweeps
 
     def spy(a, v, max_sweeps):
         seen.append(a.dtype)
+        exact.append(a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T))
         return kernel(a, v, max_sweeps)
 
     monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", spy)
@@ -203,3 +222,20 @@ def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
     assert seen == [np.float64, np.complex128]
     assert real.tobytes() == complex_copy.tobytes()
     assert partial_transpose(m, 0).dtype == partial_trace(m, (0, 1)).dtype == np.float64
+
+    rng = np.random.default_rng(149)
+    for d in range(2, 9):
+        n = d.bit_length() - 1 if d & (d - 1) == 0 else 0
+        routes = [hermitian_eigenvalues, trace_norm, linalg._hermitian_eigensystem]
+        routes += [lambda m, q=q: negativity(m, q) for q in range(n)]
+        routes += [lambda m, pair=pair: two_tangle(m, pair) for pair in itertools.combinations(range(n), 2)]
+        for kind in ("real", "complex"):
+            for gap in (0.0, 1e-12, 1e-11):
+                m = _near_hermitian(rng, d, kind, gap)
+                assert np.abs(m - m.conj().T).max() <= 1e-11
+                for route in routes:
+                    calls = len(exact)
+                    route(m)
+                    assert len(exact) == calls + 1
+    assert len(exact) == 2 + 2 * 3 * (7 * 3 + 1 + 2 + 1 + 3 + 3)
+    assert all(exact)

@@ -65,9 +65,6 @@ def test_stack_eigensolver_leaves_its_input_unchanged():
     for m in complex_stack:
         hermitian_eigenvalues(m)
     assert complex_stack.tobytes() == before.tobytes()
-    with pytest.raises(TypeError, match="float64"):
-        x_eigenvalues_stack(np.diagonal(complex_stack, axis1=1, axis2=2), parts[1])
-    assert complex_stack.tobytes() == before.tobytes()
 
 
 def _faulty_stacks():
@@ -138,7 +135,7 @@ def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
     assert diag.dtype == anti.dtype == np.float64
     dense = [dephase_elementwise(state, coherence_factors(CouplingConfig(kind, *p))) for p in params]
     for k in range(6):
-        stacked = tangles._cut_spectra(diag, anti, k)
+        stacked = (tangles._one_vs_rest_spectra(diag, anti, [k]) if k < 3 else tangles._pair_spectra(diag, [k - 3]))[:, 0]
         for i, m in enumerate(dense):
             cut = partial_transpose(m, k, 3) if k < 3 else partial_transpose(partial_trace(m, PAIRS[k - 3], 3), 0, 2)
             assert stacked[i].tobytes() == hermitian_eigenvalues(cut).tobytes(), (k, r, i)

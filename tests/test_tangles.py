@@ -290,3 +290,24 @@ def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling, monkeypa
         for tangle in TANGLE_SELECTORS:
             got = tangles._selected(kind, r, np.array([cfg.params for cfg in cfgs]), tangle)
             assert _bits(got) == _bits(getattr(rep, tangle) for rep in reports), tangle
+
+
+def test_the_block_solve_receives_float64_parts(monkeypatch):
+    # x_eigenvalues_stack does not check its dtype: _x_parts and dephase_x
+    # give it float64 on the grid route and on the esd route alike.
+    seen = []
+    solve = tangles.x_eigenvalues_stack
+
+    def spy(diag, anti):
+        seen.append((diag.dtype, anti.dtype))
+        return solve(diag, anti)
+
+    monkeypatch.setattr(tangles, "x_eigenvalues_stack", spy)
+    r = np.array([0.0, 0.3, math.pi / 4, 0.3])
+    flip = np.array([True, False, True, False])
+    params = np.array([[0.2, 0.2, 0.2], [0.5, 0.0, 0.0], [1.0, 0.5, 0.25], [0.0, 0.0, 0.0]])
+    list(tangles.report_chunks(r, flip, params))
+    for kind in ("phase_damping", "phase_flip"):
+        for tangle in ("n_A_BC", "pi_tangle"):
+            tangles._selected(kind, math.pi / 4, params, tangle)
+    assert seen == [(np.float64, np.float64)] * 5
