@@ -1,8 +1,8 @@
 """Cyclic Jacobi sweep kernels for Hermitian matrices.
 
-``jacobi_sweeps`` diagonalizes one matrix in place: ``a`` ends up with the
-eigenvalues on its diagonal and, when ``v`` is given, ``v`` accumulates the
-rotations (columns are eigenvectors). It works on Python numbers, floats
+``jacobi_sweeps`` diagonalizes one matrix in place and solves eigenvalues
+only: ``a`` ends up with them on its diagonal. (Eigenvectors come from
+``np.linalg.eigh``.) It works on Python numbers, floats
 for a real input and complex for a complex one, with the complex rotation
 of Forsythe and Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g``
 real and ``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase,
@@ -25,29 +25,25 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # Beyond this |theta|, theta * theta overflows (or nearly does); there
 # sqrt(1 + theta^2) is |theta| to working precision, so t = 1 / (2 |theta|).
 BIG_THETA = 1e150
 EPS = 2.0**-52
 
 
-def jacobi_sweeps(a, v, max_sweeps):
+def jacobi_sweeps(a, max_sweeps):
     """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
-    Rotations are accumulated in ``v`` when it is given; ``v=None`` skips
-    them. ``a`` must be square and exactly Hermitian, unchecked here: its
+    ``a`` must be square and exactly Hermitian, unchecked here: its
     one caller passes ``linalg._checked_hermitian`` output, square by
-    ``as_matrix``, and exactly Hermitian because in ``(m^H + m) / 2`` each
-    mirror pair adds the same two entries, conjugated and swapped.
+    ``as_matrix``, and exactly Hermitian because each of its mirror pairs
+    adds the same two terms, conjugated and swapped.
     """
     n = a.shape[0]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     rows = a.tolist()
     for i, row in enumerate(rows):
         row[i] = row[i].real
-    vcols = None if v is None else v.T.tolist()
     sweeps = -1
     for sweep in range(max_sweeps + 1):
         rotated = False
@@ -88,17 +84,10 @@ def jacobi_sweeps(a, v, max_sweeps):
             for row, x, y in zip(rows, new_p, new_q):
                 row[p] = x.conjugate()
                 row[q] = y.conjugate()
-            if vcols is not None:
-                vec_p = vcols[p]
-                vec_q = vcols[q]
-                vcols[p] = [c * x - sv * y for x, y in zip(vec_p, vec_q)]
-                vcols[q] = [su * x + c * y for x, y in zip(vec_p, vec_q)]
         if not rotated:
             sweeps = sweep
             break
     a[...] = rows
-    if vcols is not None:
-        v[...] = np.array(vcols).T
     return sweeps
 
 

@@ -5,23 +5,28 @@ Qubit ordering convention used throughout the package: qubit 0 is the most
 significant tensor factor, so the computational basis state |abc> of three
 qubits sits at index 4a+2b+c.
 
-The Hermitian eigensolver runs cyclic Jacobi sweeps on the matrix as it
-is (see ``_kernels``): one complex rotation, which on a real matrix does
-the real rotation's arithmetic, so a real matrix and its complex copy get
-the same eigenvalues bit for bit.
+The Hermitian eigenvalue solver runs cyclic Jacobi sweeps on the matrix
+as it is (see ``_kernels``): one complex rotation, which on a real matrix
+does the real rotation's arithmetic, so a real matrix and its complex copy
+get the same eigenvalues bit for bit. A matrix with an entry beyond 2^1000
+is solved scaled by a power of two, which is exact. Eigenvectors (the
+internal ``_hermitian_eigensystem``) come from ``np.linalg.eigh``.
 
 A public function coerces its input with ``as_matrix`` and checks its
 arguments with ``_checked_keep``, once, then calls the internal form that
 skips them (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``),
 as ``tangles.negativity`` and ``tangles.two_tangle`` do. Hermiticity
-(``ValueError``) and convergence (``RuntimeError``) are checked on every
-solve, so that NaN fails them; ``_checked_hermitian`` makes the kernel's
-input exactly Hermitian. ``x_eigenvalues_stack`` solves the report
-pipeline's X matrices, given as float64 diagonals and anti-diagonals, by
-rotating each 2x2 block once; ``tangles._x_parts`` makes and checks them.
+(``ValueError``, to 1e-10 of 1 or of the largest real or imaginary part)
+and convergence (``RuntimeError``) are checked on every solve, so that NaN
+fails them; ``_checked_hermitian`` makes the solvers' input exactly
+Hermitian. ``x_eigenvalues_stack`` solves the report pipeline's X matrices,
+given as float64 diagonals and anti-diagonals, by rotating each 2x2 block
+once; ``tangles._x_parts`` makes and checks them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from . import _kernels
 
 HERMITICITY_TOL = 1e-10
 MAX_SWEEPS = 100
+SCALE_MAX = 2.0**1000
 
 
 def as_matrix(m) -> np.ndarray:
@@ -92,26 +98,27 @@ def _partial_transpose(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
 
 
 def _checked_hermitian(m: np.ndarray) -> np.ndarray:
-    # For a real m the conjugate transpose is a view of m: add into a new array.
     mh = np.swapaxes(m, -1, -2).conj()
-    if not np.abs(m - mh).max() <= HERMITICITY_TOL:
+    # Parts, not moduli: a modulus near the float64 limit can overflow.
+    big = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    if not np.abs(m - mh).max() <= HERMITICITY_TOL * max(1.0, big):
         raise ValueError("hermiticity violated")
-    mh = mh + m
-    mh /= 2.0
-    return mh
-
-
-def _run_jacobi(h: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    # Diagonalizes h in place; rotations are accumulated in v when one is given.
-    sweeps = _kernels.jacobi_sweeps(h, v, MAX_SWEEPS)
-    if sweeps < 0:
-        raise RuntimeError("eigensolver did not converge")
-    return np.diag(h).real.copy()
+    # Near the float64 limit mh + m can overflow; halving first is exact for normal numbers.
+    return mh / 2.0 + m / 2.0 if big > SCALE_MAX else (mh + m) / 2.0
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
-    return np.sort(_run_jacobi(_checked_hermitian(m)))
+    h = _checked_hermitian(m)
+    e = 0
+    big = np.abs(h).max()
+    if big > SCALE_MAX:
+        # A rotation of entries near the float64 limit can overflow.
+        e = math.frexp(big)[1]
+        h *= 2.0**-e
+    if _kernels.jacobi_sweeps(h, MAX_SWEEPS) < 0:
+        raise RuntimeError("eigensolver did not converge")
+    return np.sort(np.ldexp(np.diag(h).real, e))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -151,11 +158,7 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns). Internal use."""
-    h = _checked_hermitian(as_matrix(m))
-    v = np.eye(h.shape[0], dtype=h.dtype)
-    w = _run_jacobi(h, v)
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(_checked_hermitian(as_matrix(m)))
 
 
 def trace_norm(m) -> float:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from ghztangle import _kernels
-from ghztangle.channels import CouplingConfig, apply_channel, lift
-from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, x_eigenvalues_stack
-from ghztangle.rindler import ghz_rindler_density
+from ghztangle.linalg import hermitian_eigenvalues, x_eigenvalues_stack
 from ghztangle.tangles import (
     _negativity_from_spectra,
     _one_vs_rest_spectra,
@@ -33,9 +31,8 @@ def _x_stack_eigenvalues(stack):
 
 def _run(kernel, s, max_sweeps=100):
     a = np.array(s, dtype=np.float64)
-    v = np.eye(a.shape[0])
-    sweeps = kernel(a, v, max_sweeps)
-    return a, v, sweeps
+    sweeps = kernel(a, max_sweeps)
+    return a, sweeps
 
 
 KERNELS = [_kernels.jacobi_sweeps]
@@ -43,18 +40,16 @@ KERNELS = [_kernels.jacobi_sweeps]
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_diagonal_input_is_fixed_point(kernel):
-    a, v, sweeps = _run(kernel, np.diag([3.0, 1.0, 2.0]))
+    a, sweeps = _run(kernel, np.diag([3.0, 1.0, 2.0]))
     assert sweeps == 0
     assert np.array_equal(a, np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(v, np.eye(3))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_two_by_two_exact(kernel):
-    a, v, sweeps = _run(kernel, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    a, sweeps = _run(kernel, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert sweeps >= 1
     assert np.abs(np.sort(np.diag(a)) - np.array([-1.0, 1.0])).max() <= 1e-14
-    assert np.abs(v @ v.T - np.eye(2)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -62,21 +57,17 @@ def test_matches_numpy_eigvalsh(kernel):
     rng = np.random.default_rng(101)
     for _ in range(20):
         s = _embed(random_hermitian(rng, 8))
-        a, v, sweeps = _run(kernel, s)
+        a, sweeps = _run(kernel, s)
         assert sweeps > 0
         w = np.sort(np.diag(a))
         assert np.abs(w - np.linalg.eigvalsh(s)).max() <= 1e-11
-        # v must hold the accumulated rotations: v.T s v is diagonal.
-        d = v.T @ s @ v
-        assert np.abs(d - np.diag(np.diag(d))).max() <= 1e-10
-        assert np.abs(v @ v.T - np.eye(16)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_budget_exhausted_returns_minus_one(kernel):
     rng = np.random.default_rng(107)
     s = _embed(random_hermitian(rng, 8))
-    _, _, sweeps = _run(kernel, s, max_sweeps=0)
+    _, sweeps = _run(kernel, s, max_sweeps=0)
     assert sweeps == -1
 
 
@@ -86,20 +77,15 @@ def test_complex_input_matches_numpy_eigvalsh(d):
     for _ in range(20):
         h = random_hermitian(rng, d)
         a = h.copy()
-        v = np.eye(d, dtype=np.complex128)
-        sweeps = _kernels.jacobi_sweeps(a, v, 100)
+        sweeps = _kernels.jacobi_sweeps(a, 100)
         assert sweeps > 0
         assert not np.diag(a).imag.any()
         assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(h)).max() <= 1e-11
-        # v holds the accumulated unitary rotations: v^H h v is diagonal.
-        m = v.conj().T @ h @ v
-        assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
-        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
 
 
 def test_complex_budget_exhausted_returns_minus_one():
     h = random_hermitian(np.random.default_rng(107), 8)
-    assert _kernels.jacobi_sweeps(h, None, 0) == -1
+    assert _kernels.jacobi_sweeps(h, 0) == -1
 
 
 def test_huge_rotation_angle_with_an_imaginary_pivot_is_silent():
@@ -109,56 +95,9 @@ def test_huge_rotation_angle_with_an_imaginary_pivot_is_silent():
     a = s.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sweeps = _kernels.jacobi_sweeps(a, None, 100)
+        sweeps = _kernels.jacobi_sweeps(a, 100)
     assert sweeps > 0
     assert np.abs(np.sort(np.diag(a).real) - np.linalg.eigvalsh(s)).max() <= 1e-12
-
-
-def _figure3_embeddings():
-    # Partial transposes of figure-3 states (collective dephasing of the
-    # accelerated GHZ state): 16x16 from the three one-vs-rest cuts, 8x8
-    # from the three pair reductions.
-    big, small = [], []
-    for kind in ("phase_damping", "phase_flip"):
-        for r in (0.0, 0.2, 0.5, np.pi / 4):
-            for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-                rho = apply_channel(lift(CouplingConfig.collective(kind, p)), ghz_rindler_density(r, r))
-                big.extend(_embed(partial_transpose(rho, q, 3)) for q in range(3))
-                small.extend(
-                    _embed(partial_transpose(partial_trace(rho, pair, 3), 0, 2))
-                    for pair in ((0, 1), (0, 2), (1, 2))
-                )
-    return big, small
-
-
-def _low_rank_state(rng, d, rank):
-    x = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
-
-
-def _mixed_stacks():
-    rng = np.random.default_rng(113)
-    big, small = _figure3_embeddings()
-    for d, stack in ((8, big), (4, small)):
-        stack.extend(_embed(random_hermitian(rng, d)) for _ in range(8))
-        for rank in (1, 2):
-            stack.extend(_embed(_low_rank_state(rng, d, rank)) for _ in range(3))
-        stack.append(np.diag(np.arange(2.0 * d)))
-    return [np.array(big), np.array(small)]
-
-
-@pytest.mark.parametrize("stack", _mixed_stacks(), ids=["16x16", "8x8"])
-def test_single_kernel_without_vectors_is_bitwise(stack):
-    counts = []
-    for s in stack:
-        a, _, n = _run(_kernels.jacobi_sweeps, s)
-        bare = s.copy()
-        assert _kernels.jacobi_sweeps(bare, None, 100) == n
-        assert bare.tobytes() == a.tobytes()
-        counts.append(n)
-    # The stacks hold fixed points and solves of several sweeps.
-    assert 0 in counts and max(counts) > 1
 
 
 def _random_x_states(rng, n):
@@ -208,17 +147,18 @@ def test_stack_and_public_routes_agree_at_the_stop_test_boundary():
     for pivot, want in ((bound, 0), (np.nextafter(bound, 1.0), 1)):
         s = np.array([[-2.0, pivot], [pivot, 3.0]])
         single = s.copy()
-        assert _kernels.jacobi_sweeps(single, None, 100) == want
+        assert _kernels.jacobi_sweeps(single, 100) == want
         assert (single.tobytes() == s.tobytes()) == (want == 0)
         stacked = _x_stack_eigenvalues(s[None])[0]
         assert stacked.tobytes() == hermitian_eigenvalues(s.astype(np.complex128)).tobytes()
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10, 1e20])
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-20, 1e-10, 1e10, 1e20, 2.0**1000])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_eigenvalues_scale_with_the_matrix(kind, scale):
     # The stop test is relative, so no scale of the matrix is too small to
-    # rotate: s * A has s times the eigenvalues of A.
+    # rotate: s * A has s times the eigenvalues of A. At 2^1000 the public
+    # route solves s * A scaled back near 1.
     rng = np.random.default_rng(137)
     a = random_hermitian(rng, 8)
     if kind == "real":
@@ -238,7 +178,7 @@ def test_huge_rotation_angle_does_not_overflow(kernel):
     s = np.array([[1.0, 1e-200, 0.5], [1e-200, 0.0, 0.0], [0.5, 0.0, 2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, _, sweeps = _run(kernel, s)
+        a, sweeps = _run(kernel, s)
     assert sweeps > 0
     assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-12
 
@@ -250,7 +190,7 @@ def test_overflowing_rotation_angle_is_silent(kernel):
     s = np.array([[0.0, 1e-300, 0.5], [1e-300, 1e10, 0.0], [0.5, 0.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, _, sweeps = _run(kernel, s)
+        a, sweeps = _run(kernel, s)
     assert sweeps > 0
     assert np.abs(np.sort(np.diag(a)) - np.linalg.eigvalsh(s)).max() <= 1e-6
 
@@ -259,7 +199,7 @@ def test_overflowing_rotation_angle_is_silent(kernel):
 def test_huge_diagonal_does_not_overflow_the_skip_test(kernel):
     # a_pp * a_qq overflows to inf here, which would call every pivot
     # negligible; sqrt|a_pp| * sqrt|a_qq| does not.
-    a, _, sweeps = _run(kernel, np.full((2, 2), 1e300))
+    a, sweeps = _run(kernel, np.full((2, 2), 1e300))
     assert sweeps == 1
     low, high = np.sort(np.diag(a))
     assert low == 0.0 and abs(high - 2e300) <= 1e-15 * 2e300

@@ -1,13 +1,16 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghztangle import linalg
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
 from ghztangle.tangles import negativity, two_tangle
 
-from oracles import random_density_matrix, random_hermitian, ref_partial_trace, ref_partial_transpose
+from oracles import mp_eigenvalues, random_density_matrix, random_hermitian, ref_partial_trace, ref_partial_transpose
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 GHZ = np.zeros((8, 8), dtype=complex)
@@ -15,6 +18,8 @@ GHZ[0, 0] = GHZ[7, 7] = GHZ[0, 7] = GHZ[7, 0] = 0.5
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[3, 3] = BELL[0, 3] = BELL[3, 0] = 0.5
+
+EPS = linalg._kernels.EPS
 
 
 def test_partial_trace_product_state():
@@ -140,15 +145,75 @@ def test_eigenvalues_accepts_tiny_asymmetry():
     m[0, 1] = 1e-12
     w = hermitian_eigenvalues(m)
     assert np.abs(w - np.array([-1.0, 1.0])).max() <= 1e-11
+    # One ulp from symmetric at 1e20: the tolerance scales with the largest entry.
+    m = np.array([[1e20, 1e20], [np.nextafter(1e20, np.inf), 1e20]])
+    w = hermitian_eigenvalues(m)
+    assert np.abs(w - np.array([0.0, 2e20])).max() <= 32 * EPS * 2e20
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigenvalues_near_the_float64_limit_are_finite(dtype):
+    # The first matrix's symmetrization overflowed to inf, and a rotation of
+    # the second to a NaN diagonal and then a ZeroDivisionError.
+    for m in ([[1e308, 0.0], [0.0, -1e308]], [[1e307, 1e308], [1e308, -1e307]]):
+        m = np.array(m, dtype=dtype)
+        want = np.linalg.eigvalsh(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermitian_eigenvalues(m)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 32 * EPS * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    k=st.integers(-1000, 1016),
+    kind=st.sampled_from(["real", "complex"]),
+)
+@example(seed=0, d=8, k=-1000, kind="complex")
+@example(seed=0, d=8, k=1016, kind="real")
+def test_eigenvalues_are_accurate_at_any_scale(seed, d, k, kind):
+    # 2^k times a random Hermitian matrix, from 2^-1000 to past 2^1000,
+    # where the public route solves the matrix scaled back near 1.
+    a = random_hermitian(np.random.default_rng(seed), d)
+    m = (a.real if kind == "real" else a) * 2.0**k
+    got = hermitian_eigenvalues(m)
+    exact = mp_eigenvalues(m, 30)
+    assert np.isfinite(got).all()
+    bound = 32 * EPS * float(max(abs(w) for w in exact))
+    assert max(abs(float(g - w)) for g, w in zip(got, exact)) <= bound
+
+
+def _degenerate(rng, d: int, kind: str) -> np.ndarray:
+    # A random unitary (orthogonal if real) applied to a spectrum whose
+    # eigenvalue 1 is at least double.
+    a = rng.normal(size=(d, d))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(d, d))
+    q = np.linalg.qr(a)[0]
+    w = rng.choice([-0.5, 0.0, 1.0], size=d)
+    w[:2] = 1.0
+    return (q * w) @ q.conj().T
 
 
 def test_eigensystem_reconstruction():
+    # The eigenvectors come from np.linalg.eigh, the eigenvalues of
+    # hermitian_eigenvalues from the Jacobi kernel; both solve the same
+    # symmetrized matrix.
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        m = random_hermitian(rng, 8)
+    inputs = [random_hermitian(rng, 8) for _ in range(10)]
+    for d in range(2, 9):
+        for kind in ("real", "complex"):
+            inputs += [_near_hermitian(rng, d, kind, gap) for gap in (0.0, 1e-12, 1e-11)]
+            inputs.append(_degenerate(rng, d, kind))
+    for m in inputs:
+        d = m.shape[0]
         w, v = linalg._hermitian_eigensystem(m)
-        assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-10
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-10
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-10
+        assert np.abs(w - hermitian_eigenvalues(m)).max() <= 32 * EPS * np.abs(w).max()
 
 
 def test_eigensystem_degenerate_input():
@@ -204,16 +269,27 @@ def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
     # A real input stays float64 from as_matrix to the kernel, where its
     # rotations run on Python floats; its complex copy gets the same bytes.
     # Every public route hands the kernel a square, exactly Hermitian
-    # matrix, which its mirrored rotation needs and does not check.
-    seen, exact = [], []
+    # matrix, which its mirrored rotation needs and does not check, and
+    # _hermitian_eigensystem hands np.linalg.eigh one, which reads only
+    # one triangle.
+    seen, exact, eigh_exact = [], [], []
     kernel = linalg._kernels.jacobi_sweeps
+    eigh = np.linalg.eigh
 
-    def spy(a, v, max_sweeps):
+    def is_exact(a):
+        return a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T)
+
+    def spy(a, max_sweeps):
         seen.append(a.dtype)
-        exact.append(a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T))
-        return kernel(a, v, max_sweeps)
+        exact.append(is_exact(a))
+        return kernel(a, max_sweeps)
+
+    def eigh_spy(a):
+        eigh_exact.append(is_exact(a))
+        return eigh(a)
 
     monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     m = np.random.default_rng(139).normal(size=(8, 8))
     m = m + m.T
     assert linalg.as_matrix(m.tolist()).dtype == np.float64
@@ -226,7 +302,7 @@ def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
     rng = np.random.default_rng(149)
     for d in range(2, 9):
         n = d.bit_length() - 1 if d & (d - 1) == 0 else 0
-        routes = [hermitian_eigenvalues, trace_norm, linalg._hermitian_eigensystem]
+        routes = [hermitian_eigenvalues, trace_norm]
         routes += [lambda m, q=q: negativity(m, q) for q in range(n)]
         routes += [lambda m, pair=pair: two_tangle(m, pair) for pair in itertools.combinations(range(n), 2)]
         for kind in ("real", "complex"):
@@ -237,5 +313,8 @@ def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
                     calls = len(exact)
                     route(m)
                     assert len(exact) == calls + 1
-    assert len(exact) == 2 + 2 * 3 * (7 * 3 + 1 + 2 + 1 + 3 + 3)
+                linalg._hermitian_eigensystem(m)
+    assert len(exact) == 2 + 2 * 3 * (7 * 2 + 1 + 2 + 1 + 3 + 3)
     assert all(exact)
+    assert len(eigh_exact) == 7 * 2 * 3
+    assert all(eigh_exact)
