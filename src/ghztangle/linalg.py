@@ -8,9 +8,11 @@ qubits sits at index 4a+2b+c.
 The Hermitian eigenvalue solver runs cyclic Jacobi sweeps on the matrix
 as it is (see ``_kernels``): one complex rotation, which on a real matrix
 does the real rotation's arithmetic, so a real matrix and its complex copy
-get the same eigenvalues bit for bit. A matrix with an entry beyond 2^1000
-is solved scaled by a power of two, which is exact. Eigenvectors (the
-internal ``_hermitian_eigensystem``) come from ``np.linalg.eigh``.
+get the same eigenvalues bit for bit. Eigenvectors (the internal
+``_hermitian_eigensystem``) come from ``np.linalg.eigh``. A matrix with a
+real or imaginary part beyond 2^1000 is checked and solved scaled by a
+power of two, which is exact, and its eigenvalues scaled back; beyond the
+float64 range they become +-inf, with numpy's overflow warning.
 
 A public function coerces its input with ``as_matrix`` and checks its
 arguments with ``_checked_keep``, once, then calls the internal form that
@@ -97,25 +99,22 @@ def _partial_transpose(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
     return t.reshape(rho.shape).copy()
 
 
-def _checked_hermitian(m: np.ndarray) -> np.ndarray:
-    mh = np.swapaxes(m, -1, -2).conj()
+def _checked_hermitian(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(h, e)``: ``m`` times ``2^-e`` (exact), checked and made exactly Hermitian; ``e`` is 0
+    unless a real or imaginary part exceeds SCALE_MAX, where a sum or a rotation can overflow."""
     # Parts, not moduli: a modulus near the float64 limit can overflow.
     big = max(np.abs(m.real).max(), np.abs(m.imag).max())
-    if not np.abs(m - mh).max() <= HERMITICITY_TOL * max(1.0, big):
+    e = math.frexp(big)[1] if big > SCALE_MAX else 0
+    m = m * 2.0**-e
+    mh = np.swapaxes(m, -1, -2).conj()
+    if not np.abs(m - mh).max() <= HERMITICITY_TOL * max(1.0, big) * 2.0**-e:
         raise ValueError("hermiticity violated")
-    # Near the float64 limit mh + m can overflow; halving first is exact for normal numbers.
-    return mh / 2.0 + m / 2.0 if big > SCALE_MAX else (mh + m) / 2.0
+    return (mh + m) / 2.0, e
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
-    h = _checked_hermitian(m)
-    e = 0
-    big = np.abs(h).max()
-    if big > SCALE_MAX:
-        # A rotation of entries near the float64 limit can overflow.
-        e = math.frexp(big)[1]
-        h *= 2.0**-e
+    h, e = _checked_hermitian(m)
     if _kernels.jacobi_sweeps(h, MAX_SWEEPS) < 0:
         raise RuntimeError("eigensolver did not converge")
     return np.sort(np.ldexp(np.diag(h).real, e))
@@ -158,7 +157,9 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns). Internal use."""
-    return np.linalg.eigh(_checked_hermitian(as_matrix(m)))
+    h, e = _checked_hermitian(as_matrix(m))
+    w, v = np.linalg.eigh(h)
+    return np.ldexp(w, e), v
 
 
 def trace_norm(m) -> float:

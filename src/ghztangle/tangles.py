@@ -7,15 +7,17 @@ the average of the three residuals.
 
 ``report_chunks`` evaluates many points at once, given as arrays: it
 stacks CHUNK points at a time through every stage and yields each stack's
-report rows as one float array. A stack costs a fixed number of numpy
-calls, whatever its size: one solve for all its one-vs-rest cuts, one
-gather for its pair cuts (sorted once per distinct state), two
-closed-form calls per channel. Each state is an X state, carried as its
-diagonal and anti-diagonal (``_x_parts``). Each stage does exactly the
-arithmetic of its single-matrix counterpart, so a report does not depend
-on the stack it was computed in. ``full_reports`` turns
-``CouplingConfig`` points into those arrays and the rows into
-``TangleReport`` objects.
+report rows as one float array. The channel keeps the diagonal, so the
+pair cuts are sorted and cross-checked once per call, per distinct state.
+A stack then costs a fixed number of numpy calls, whatever its size: one
+dephasing, one solve and one cross-check for its one-vs-rest cuts, two
+closed-form calls per channel. ``_selected``, the sudden-death search's
+route, evaluates one state's points in one stack and only the cuts its
+tangle reads. Each state is an X state, carried as its diagonal and
+anti-diagonal (``_x_parts``). Each stage does exactly the arithmetic of
+its single-matrix counterpart, so a value does not depend on the stack
+it was computed in. ``full_reports`` turns ``CouplingConfig`` points
+into those arrays and the rows into ``TangleReport`` objects.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
     ``(n, 20)`` float array per stack, with columns NUMERIC_COLUMNS. The
     lengths and the parameter range are checked once per call, each
     distinct-r state once (``_x_parts``: real, X shape, exact symmetry),
-    and the negativity cross-check on each whole stack. The residuals,
+    the pair cuts' negativities are cross-checked once per call and the
+    one-vs-rest cuts' on each whole stack, in one call each. The residuals,
     pi-tangle and deviations are array arithmetic in the order of their
     scalar forms, and each one-tangle closed form is called once per stack
     and channel present, with r and the parameters as arrays, and cf_pi
@@ -195,13 +198,17 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
         raise ValueError("p must be in [0, 1]")
     values, index = np.unique(r, return_inverse=True)
     diag, anti = _x_parts(np.array([ghz_rindler_density(v, v) for v in values.tolist()]))
-    for start, n in _stacks(diag, anti, index, flip, params, range(6)):
-        stop = start + CHUNK
+    n_pairs = _negativity_from_spectra(_pair_spectra(diag, range(3)))
+    for start in range(0, len(r), CHUNK):
+        at = slice(start, start + CHUNK)
+        rows = index[at]
+        a = dephase_x(flip[at], params[at], anti[rows])
+        n = (*_negativity_from_spectra(_one_vs_rest_spectra(diag[rows], a, range(3))).T, *n_pairs[rows].T)
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
-        cf_a, cf_bc, cf_pi = _closed_forms(r[start:stop], flip[start:stop], params[start:stop])
+        cf_a, cf_bc, cf_pi = _closed_forms(r[at], flip[at], params[at])
         columns = (
-            *params[start:stop].T, r[start:stop],
+            *params[at].T, r[at],
             *n, pi_a, pi_b, pi_c, pi,
             cf_a, cf_bc, cf_pi, abs(n[0] - cf_a), abs(n[1] - cf_bc), abs(pi - cf_pi),
         )  # fmt: skip
@@ -220,26 +227,6 @@ def _x_parts(states) -> tuple[np.ndarray, np.ndarray]:
     if states[:, _OFF_X].any() or not np.array_equal(anti, anti[:, ::-1]):
         raise RuntimeError("state is not an X-state; the stack route needs exactly symmetric X matrices")
     return np.diagonal(states, axis1=1, axis2=2).copy(), anti
-
-
-def _stacks(diag, anti, index, flip, params, cuts):
-    """``(start, n)`` for each stack of CHUNK points from ``start``, where
-    point i is state ``index[i]`` of ``diag`` and ``anti``, dephased, and
-    ``n`` holds the negativities of the given cuts, ascending, one row per
-    cut. A stack's one-vs-rest cuts are solved in one call and cross-checked
-    once. The channel keeps the diagonal, so the pair cuts are sorted and
-    cross-checked once per distinct state and gathered per point."""
-    ones = np.array([k for k in cuts if k < 3], dtype=int)
-    pairs = np.array([k - 3 for k in cuts if k >= 3], dtype=int)
-    n_pairs = _negativity_from_spectra(_pair_spectra(diag, pairs)) if len(pairs) else np.empty((len(diag), 0))
-    for start in range(0, len(index), CHUNK):
-        stop = start + CHUNK
-        rows = index[start:stop]
-        n = n_pairs[rows]
-        if len(ones):
-            a = dephase_x(flip[start:stop], params[start:stop], anti[rows])
-            n = np.concatenate([_negativity_from_spectra(_one_vs_rest_spectra(diag[rows], a, ones)), n], axis=1)
-        yield start, n.T
 
 
 def _closed_forms(r, flip, params) -> np.ndarray:
@@ -283,18 +270,20 @@ def _combine(n: np.ndarray) -> np.ndarray:
 
 
 def _selected(kind: str, r: float, params: np.ndarray, tangle: str, parts=None) -> list[float]:
-    """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit.
-
-    Runs the stacks of ``report_chunks``, with the same checks, but
-    computes only the cuts the tangle reads: one for a one- or two-tangle,
-    three for a residual, six for the pi-tangle. ``parts`` is r's state as
-    ``_x_parts`` gives it, if already split.
-    """
+    """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit:
+    ``report_chunks``' arithmetic and checks on only the cuts the tangle reads, all points in
+    one stack (a search asks at most 117: 100 grid points beyond p_star, 17 bisection
+    midpoints). ``parts`` is r's state as ``_x_parts`` gives it, if already split."""
     diag, anti = _x_parts(ghz_rindler_density(r, r)) if parts is None else parts
-    flip = np.full(len(params), kind == PHASE_FLIP)
-    index = np.zeros(len(params), dtype=np.intp)
-    stacks = _stacks(diag, anti, index, flip, params, _SELECTOR_CUTS[tangle])
-    return [v for _, n in stacks for v in _combine(n).tolist()]
+    cuts = _SELECTOR_CUTS[tangle]
+    ones, pairs = [k for k in cuts if k < 3], [k - 3 for k in cuts if k >= 3]
+    n = np.empty((len(cuts), len(params)))
+    if ones:
+        a = dephase_x(np.full(len(params), kind == PHASE_FLIP), params, anti)
+        n[: len(ones)] = _negativity_from_spectra(_one_vs_rest_spectra(np.repeat(diag, len(a), axis=0), a, ones)).T
+    if pairs:
+        n[len(ones) :] = _negativity_from_spectra(_pair_spectra(diag, pairs)).T
+    return _combine(n).tolist()
 
 
 def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc):

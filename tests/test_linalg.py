@@ -165,6 +165,27 @@ def test_eigenvalues_near_the_float64_limit_are_finite(dtype):
         assert np.abs(got - want).max() <= 32 * EPS * np.abs(want).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermiticity_is_checked_after_scaling(dtype):
+    # m - m^dag overflowed here before the check scaled m by 2^-e: a
+    # RuntimeWarning, an error under -W error, took the ValueError's place.
+    m = np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hermiticity violated"):
+            hermitian_eigenvalues(m)
+
+
+def test_eigenvalues_beyond_the_float64_range_overflow_to_infinity():
+    # The eigenvalues of this finite matrix are +-|z| = +-2.1e308: the scaled
+    # solve is finite, and scaling back overflows with numpy's warning.
+    z = 1.5e308 * (1 + 1j)
+    m = np.array([[0.0, z], [z.conjugate(), 0.0]])
+    for route in (hermitian_eigenvalues, lambda m: linalg._hermitian_eigensystem(m)[0]):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
+            assert route(m).tolist() == [-np.inf, np.inf]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

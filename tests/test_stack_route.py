@@ -166,3 +166,40 @@ def test_the_stack_route_never_calls_the_single_kernel(monkeypatch):
         assert sum(len(values) for values in sweep_chunks(spec)) == 41 * 41
     ps = SweepSpec(PHASE_FLIP)._params(np.linspace(0.0, 1.0, 201))
     assert len(tangles._selected(PHASE_FLIP, math.pi / 4, ps, "pi_tangle")) == 201
+
+
+def _count_work(monkeypatch) -> dict:
+    """Calls of each per-stack step of ``tangles`` made from now on, by name."""
+    calls = dict.fromkeys(("dephase_x", "x_eigenvalues_stack", "_negativity_from_spectra", "_pair_spectra"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, step=getattr(tangles, name)):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(tangles, name, counted)
+    return calls
+
+
+def test_report_chunks_does_each_step_once_per_stack(monkeypatch):
+    # A sweep of 41 r values by 41 p crosses stack boundaries inside an r's
+    # rows; the pair cuts are sorted and cross-checked once per call.
+    monkeypatch.setattr(tangles, "CHUNK", 16)
+    spec = SweepSpec(PHASE_FLIP, "collective", r_values=tuple(i * (math.pi / 160.0) for i in range(41)), p_step=0.025)
+    calls = _count_work(monkeypatch)
+    stacks = sum(1 for _ in sweep_chunks(spec))
+    assert stacks == -(-41 * 41 // 16)
+    assert calls == {"dephase_x": stacks, "x_eigenvalues_stack": stacks, "_negativity_from_spectra": stacks + 1, "_pair_spectra": 1}
+
+
+@pytest.mark.parametrize("tangle", analysis.TANGLE_SELECTORS)
+def test_selected_evaluates_a_search_in_one_stack(tangle, monkeypatch):
+    # A search asks at most 117 points; _selected evaluates them in one
+    # stack, whatever CHUNK is, and skips the kind of cut its tangle does not read.
+    monkeypatch.setattr(tangles, "CHUNK", 16)
+    ps = SweepSpec(PHASE_FLIP)._params(np.linspace(0.5, 1.0, 117))
+    calls = _count_work(monkeypatch)
+    assert len(tangles._selected(PHASE_FLIP, math.pi / 4, ps, tangle)) == 117
+    ones = any(k < 3 for k in tangles._SELECTOR_CUTS[tangle])
+    pairs = any(k >= 3 for k in tangles._SELECTOR_CUTS[tangle])
+    assert calls == {"dephase_x": ones, "x_eigenvalues_stack": ones, "_negativity_from_spectra": ones + pairs, "_pair_spectra": pairs}
