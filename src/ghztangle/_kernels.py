@@ -1,24 +1,16 @@
-"""Cyclic Jacobi sweep kernels for Hermitian matrices.
+"""The cyclic Jacobi kernel, which no package route calls.
 
-``jacobi_sweeps`` diagonalizes one matrix in place and solves eigenvalues
-only: ``a`` ends up with them on its diagonal. (Eigenvectors come from
-``np.linalg.eigh``.) It works on Python numbers, floats
-for a real input and complex for a complex one, with the complex rotation
-of Forsythe and Henrici (Trans. AMS 94, 1960): a pivot ``g * u``, ``g``
-real and ``|u| = 1``, takes the real rotation of ``g`` with ``u``'s phase,
-so a real pivot (``u = 1``) gets the real rotation's arithmetic. Each
-rotation computes the new rows p and q and mirrors them into columns p and
-q, which is exact for the exactly Hermitian matrices that
-``linalg._checked_hermitian`` gives it: a few list comprehensions, where
-numpy slices cost about 25 calls per rotation.
-
-The kernel skips a pivot that is negligible against its own diagonal,
+``jacobi_sweeps`` diagonalizes one Hermitian matrix in place, on Python
+numbers, with the complex rotation of Forsythe and Henrici (Trans. AMS 94,
+1960). It skips a pivot negligible against its own diagonal,
 ``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1992), and stops after a sweep that rotates
-nothing. It returns the number of sweeps that rotated something, or -1 if
-``max_sweeps`` were not enough. ``linalg.x_eigenvalues_stack``
-gives each 2x2 block of an X matrix this kernel's one rotation, with the
-same rule and constants.
+Matrix Anal. Appl. 13, 1992), stops after a sweep that rotates nothing and
+returns the number of sweeps that rotated something, or -1 if
+``max_sweeps`` were not enough. ``linalg`` solves dense matrices with
+``np.linalg.eigvalsh`` and X matrices with ``linalg.x_eigenvalues_stack``,
+which gives each 2x2 block this kernel's one rotation, with the same rule
+and constants. The kernel stays only because ``perfbench/tracer.py`` wraps
+it by name; it goes with that layer.
 """
 
 from __future__ import annotations
@@ -34,10 +26,9 @@ EPS = 2.0**-52
 def jacobi_sweeps(a, max_sweeps):
     """Cyclic Jacobi sweeps on one Hermitian matrix, on Python numbers.
 
-    ``a`` must be square and exactly Hermitian, unchecked here: its
-    one caller passes ``linalg._checked_hermitian`` output, square by
-    ``as_matrix``, and exactly Hermitian because each of its mirror pairs
-    adds the same two terms, conjugated and swapped.
+    ``a`` must be square and exactly Hermitian, as ``linalg._checked_hermitian``
+    output is; it is unchecked here. Each rotation computes the new rows p
+    and q and mirrors them into columns p and q.
     """
     n = a.shape[0]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]

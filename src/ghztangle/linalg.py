@@ -5,22 +5,24 @@ Qubit ordering convention used throughout the package: qubit 0 is the most
 significant tensor factor, so the computational basis state |abc> of three
 qubits sits at index 4a+2b+c.
 
-The Hermitian eigenvalue solver runs cyclic Jacobi sweeps on the matrix
-as it is (see ``_kernels``): one complex rotation, which on a real matrix
-does the real rotation's arithmetic, so a real matrix and its complex copy
-get the same eigenvalues bit for bit. Eigenvectors (the internal
-``_hermitian_eigensystem``) come from ``np.linalg.eigh``. A matrix with a
-real or imaginary part beyond 2^1000 is checked and solved scaled by a
-power of two, which is exact, and its eigenvalues scaled back; beyond the
-float64 range they become +-inf, with numpy's overflow warning.
+Eigenvalues are solved by the matrix's shape. A real X matrix, zero off
+its diagonal and anti-diagonal, goes to ``x_eigenvalues_stack`` as one row,
+which keeps a tiny coherence relatively accurate; so does its complex copy.
+Any other matrix goes to ``np.linalg.eigvalsh`` as complex128, so a real
+matrix and its complex copy get the same eigenvalues bit for bit.
+Eigenvectors (the internal ``_hermitian_eigensystem``) come from
+``np.linalg.eigh``. A matrix with a real or imaginary part beyond 2^1000 is
+checked and solved scaled by a power of two, which is exact, and its
+eigenvalues scaled back; beyond the float64 range they become +-inf, with
+numpy's overflow warning.
 
 A public function coerces its input with ``as_matrix`` and checks its
 arguments with ``_checked_keep``, once, then calls the internal form that
 skips them (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``),
 as ``tangles.negativity`` and ``tangles.two_tangle`` do. Hermiticity
 (``ValueError``, to 1e-10 of 1 or of the largest real or imaginary part)
-and convergence (``RuntimeError``) are checked on every solve, so that NaN
-fails them; ``_checked_hermitian`` makes the solvers' input exactly
+and convergence (``RuntimeError``, for LAPACK's ``LinAlgError``) are checked
+on every solve; ``_checked_hermitian`` makes the solvers' input exactly
 Hermitian. ``x_eigenvalues_stack`` solves the report pipeline's X matrices,
 given as float64 diagonals and anti-diagonals, by rotating each 2x2 block
 once; ``tangles._x_parts`` makes and checks them.
@@ -35,7 +37,6 @@ import numpy as np
 from . import _kernels
 
 HERMITICITY_TOL = 1e-10
-MAX_SWEEPS = 100
 SCALE_MAX = 2.0**1000
 
 
@@ -113,11 +114,20 @@ def _checked_hermitian(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    # For one coerced matrix: the checks and kernel of hermitian_eigenvalues.
+    # For one coerced matrix: the checks and the solve of hermitian_eigenvalues.
     h, e = _checked_hermitian(m)
-    if _kernels.jacobi_sweeps(h, MAX_SWEEPS) < 0:
-        raise RuntimeError("eigensolver did not converge")
-    return np.sort(np.ldexp(np.diag(h).real, e))
+    j = np.arange(len(h))
+    off_x = (j[:, None] != j) & (j[:, None] + j != len(h) - 1)
+    if not h.imag.any() and not h[off_x].any():
+        # A real X matrix: the block solve, relatively accurate on a tiny coherence.
+        w = x_eigenvalues_stack(h.real.diagonal()[None], h.real[:, ::-1].diagonal()[None])[0]
+    else:
+        try:
+            # Complex even when real, so that a real matrix and its complex copy agree.
+            w = np.linalg.eigvalsh(h.astype(np.complex128, copy=False))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("eigensolver did not converge") from None
+    return np.ldexp(w, e)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -131,9 +141,10 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     Matrix i is ``diag[i, j]`` at (j, j), ``anti[i, j]`` at (j, d-1-j) and
     zero elsewhere, so each block (j, d-1-j) is an independent 2x2. It takes
     the one rotation ``_kernels.jacobi_sweeps`` would give it, with the same
-    skip rule and IEEE operations, so rows are bit-identical to
-    ``hermitian_eigenvalues`` of a complex copy of each matrix; the parts
-    are not changed. Float64 is unchecked: ``_x_parts`` and ``dephase_x`` make it.
+    skip rule and IEEE operations. ``_eigenvalues`` solves a single real X
+    matrix here as one row, so rows are bit-identical to ``hermitian_eigenvalues``
+    of each matrix; the parts are not changed. Float64 is unchecked:
+    ``_x_parts``, ``dephase_x`` and ``_eigenvalues`` make it.
     """
     d = diag.shape[-1]
     k = d // 2

@@ -78,16 +78,24 @@ def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     return from_negatives
 
 
+def _check_unit_trace(rho: np.ndarray) -> None:
+    with np.errstate(over="ignore"):
+        if not abs(np.trace(rho).real - 1.0) <= CROSS_CHECK_TOL:
+            raise ValueError("trace must be 1")
+
+
 def negativity(rho, subsystem: int, n_qubits: int | None = None) -> float:
     """Trace norm of the partial transpose, minus one.
 
     The same spectrum is reduced along two routes, 2 * sum(|negative w|)
-    and sum(|w|) - 1; they agree only if the transposed matrix kept unit
-    trace, so the comparison runs on every call. The first is the value:
-    it does not cancel near 0, and it is never negative.
+    and sum(|w|) - 1. Their gap is tr - 1 for a Hermitian matrix, so a trace
+    further than CROSS_CHECK_TOL from 1 is refused first, as a ValueError,
+    and the comparison guards the solve on every call. The first is the
+    value: it does not cancel near 0, and it is never negative.
     """
     rho = as_matrix(rho)
     _, n = _checked_keep(rho, (subsystem,), n_qubits)
+    _check_unit_trace(rho)
     pt = _partial_transpose(rho, subsystem, n)
     return float(_negativity_from_spectra(_eigenvalues(pt)))
 
@@ -98,6 +106,7 @@ def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float
     pair, n = _checked_keep(rho, pair, n_qubits)
     if len(pair) != 2:
         raise ValueError("pair must name two qubits")
+    _check_unit_trace(rho)
     pt = _partial_transpose(_partial_trace(rho, pair, n), 0, 2)
     return float(_negativity_from_spectra(_eigenvalues(pt)))
 

@@ -54,7 +54,12 @@ def ref_partial_transpose(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray
 
 
 def ref_negativity(rho: np.ndarray, subsystem: int, n: int) -> float:
-    """Negativity via numpy's eigensolver, independent of the Jacobi route."""
+    """Negativity via numpy's eigensolver of a transpose built by reshaping.
+
+    Its solver is the LAPACK routine of the package's dense route, so it is
+    independent of the package's transposes and reductions, not of its
+    solve; ``mp_eigenvalues`` is the independent reference for that.
+    """
     w = np.linalg.eigvalsh(ref_partial_transpose(rho, subsystem, n))
     return float(np.abs(w).sum()) - 1.0
 

@@ -6,8 +6,8 @@ is tiny: on the figure grids and on the ladder p = 1/2 +- 10^-k of phase
 flip, where the one-tangles fall towards their point zero at p = 1/2.
 Where the exact value is 0 the pipeline must print exactly +0.0.
 
-The dense public route, which runs the iterative Jacobi kernel on states
-that are not X states, is held to ``oracles.mp_eigenvalues`` of the same
+The dense public route, which solves the cuts of states that are not X
+states with ``np.linalg.eigvalsh``, is held to ``oracles.mp_eigenvalues`` of the same
 float matrices within an absolute bound: a partial transpose is
 indefinite, so no relative one is claimed for it.
 """
@@ -53,7 +53,7 @@ def test_figure_one_tangles_match_the_mpmath_route(figure, tmp_path, capsys):
 
 # The coherence of a cut at p = 1/2 +- 10^-k is c^2 (2 10^-k)^3 / 2 under
 # collective coupling and c^2 10^-k under local-Alice coupling: at k = 15
-# about 1e-45 and 1e-16. The Jacobi stop test is relative to the cut's own
+# about 1e-45 and 1e-16. The block solve's stop test is relative to the cut's own
 # diagonal, so each is rotated however small it is.
 @pytest.mark.parametrize("k", range(2, 16))
 @pytest.mark.parametrize("coupling", ["collective", "local_alice"])
@@ -70,8 +70,10 @@ def test_ladder_towards_the_phase_flip_death(coupling, k):
 
 # Each eigenvalue of a dense cut is within DENSE_K * EPS * max|w| of the
 # exact one. Over the 750 states of dense_states at seeds 100-149 (4,500
-# cuts), the worst error was 16.4 EPS * max|w| on the 8x8 one-vs-rest cuts
-# and 8.6 on the 4x4 pair cuts; DENSE_K is about twice the worst.
+# cuts), the worst error of np.linalg.eigvalsh, which solves them, was
+# 5.5 EPS * max|w| on the 8x8 one-vs-rest cuts and 5.4 on the 4x4 pair
+# cuts. The Jacobi kernel that solved them before reached 16.4 and 8.6;
+# DENSE_K is about twice that.
 DENSE_K = 32
 EPS = 2.0**-52
 PAIRS = ((0, 1), (0, 2), (1, 2))

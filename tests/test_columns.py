@@ -132,7 +132,7 @@ def test_columnar_rows_equal_full_report_across_a_chunk_boundary(monkeypatch):
 def test_values_do_not_depend_on_the_stack(monkeypatch):
     # Both channels interleaved, 21 distinct r with repeats, p on the ladder
     # 1/2 +- 10^-k plus 0 and 1, and the three couplings, through stacks of
-    # several sizes: the rows, and each tangle _selected computes, agree by bytes.
+    # several sizes: the rows agree by bytes.
     ladder = (0.0, 1.0, *(0.5 + s * 10.0**-k for k in range(1, 17) for s in (-1.0, 1.0)))
     r_grid = [i * math.pi / 80 for i in range(20)] + [math.pi / 4]
     configs = [_config(CHANNEL_KINDS[i % 2], COUPLINGS[i // 2 % 3], ladder[i % 34]) for i in range(102)]
@@ -145,11 +145,12 @@ def test_values_do_not_depend_on_the_stack(monkeypatch):
         for r_sel in (0.0, math.pi / 8, math.pi / 4)
         for tangle in TANGLE_SELECTORS
     ]
-    rows, selected = set(), set()
+    rows = set()
     for size in (1, 7, 128, tangles.CHUNK):
         monkeypatch.setattr(tangles, "CHUNK", size)
         rows.add(np.concatenate(list(report_chunks(r, flip, params))).tobytes())
-        selected.add(tuple(tuple(_bits(tangles._selected(*args))) for args in selections))
+    # _selected evaluates each search in one stack and does not read CHUNK, so it runs once.
+    selected = {tuple(tuple(_bits(tangles._selected(*args))) for args in selections)}
     assert len(rows) == len(selected) == 1
 
 

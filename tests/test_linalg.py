@@ -10,7 +10,14 @@ from ghztangle import linalg
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
 from ghztangle.tangles import negativity, two_tangle
 
-from oracles import mp_eigenvalues, random_density_matrix, random_hermitian, ref_partial_trace, ref_partial_transpose
+from oracles import (
+    mp_eigenvalues,
+    random_density_matrix,
+    random_hermitian,
+    random_x_stack,
+    ref_partial_trace,
+    ref_partial_transpose,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 GHZ = np.zeros((8, 8), dtype=complex)
@@ -221,8 +228,8 @@ def _degenerate(rng, d: int, kind: str) -> np.ndarray:
 
 def test_eigensystem_reconstruction():
     # The eigenvectors come from np.linalg.eigh, the eigenvalues of
-    # hermitian_eigenvalues from the Jacobi kernel; both solve the same
-    # symmetrized matrix.
+    # hermitian_eigenvalues from np.linalg.eigvalsh or, on a real X matrix,
+    # the block solve; both solve the same symmetrized matrix.
     rng = np.random.default_rng(23)
     inputs = [random_hermitian(rng, 8) for _ in range(10)]
     for d in range(2, 9):
@@ -244,7 +251,10 @@ def test_eigensystem_degenerate_input():
 
 
 def test_nonconvergence_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(RuntimeError, match="did not converge"):
         hermitian_eigenvalues(random_hermitian(np.random.default_rng(1), 8))
 
@@ -286,37 +296,44 @@ def _near_hermitian(rng, d: int, kind: str, gap: float) -> np.ndarray:
     return m / np.trace(m).real + noise
 
 
-def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
-    # A real input stays float64 from as_matrix to the kernel, where its
-    # rotations run on Python floats; its complex copy gets the same bytes.
-    # Every public route hands the kernel a square, exactly Hermitian
-    # matrix, which its mirrored rotation needs and does not check, and
-    # _hermitian_eigensystem hands np.linalg.eigh one, which reads only
-    # one triangle.
+def test_a_real_matrix_is_solved_as_its_complex_copy(monkeypatch):
+    # A real input stays float64 from as_matrix through the partial traces
+    # and transposes; a dense one reaches np.linalg.eigvalsh cast to
+    # complex128, so its complex copy gets the same bytes. Every public
+    # route hands eigvalsh a square, exactly Hermitian matrix, and
+    # _hermitian_eigensystem hands np.linalg.eigh one: each reads only one
+    # triangle. A real 2x2 is an X matrix, and its block solve gets an
+    # anti-diagonal that reads the same both ways.
     seen, exact, eigh_exact = [], [], []
-    kernel = linalg._kernels.jacobi_sweeps
+    eigvalsh = np.linalg.eigvalsh
     eigh = np.linalg.eigh
+    x_stack = linalg.x_eigenvalues_stack
 
     def is_exact(a):
         return a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T)
 
-    def spy(a, max_sweeps):
+    def spy(a):
         seen.append(a.dtype)
         exact.append(is_exact(a))
-        return kernel(a, max_sweeps)
+        return eigvalsh(a)
 
     def eigh_spy(a):
         eigh_exact.append(is_exact(a))
         return eigh(a)
 
-    monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", spy)
+    def x_spy(diag, anti):
+        exact.append(np.array_equal(anti, anti[:, ::-1]))
+        return x_stack(diag, anti)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(linalg, "x_eigenvalues_stack", x_spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     m = np.random.default_rng(139).normal(size=(8, 8))
     m = m + m.T
     assert linalg.as_matrix(m.tolist()).dtype == np.float64
     real = hermitian_eigenvalues(m)
     complex_copy = hermitian_eigenvalues(m.astype(np.complex128))
-    assert seen == [np.float64, np.complex128]
+    assert seen == [np.complex128, np.complex128]
     assert real.tobytes() == complex_copy.tobytes()
     assert partial_transpose(m, 0).dtype == partial_trace(m, (0, 1)).dtype == np.float64
 
@@ -339,3 +356,49 @@ def test_a_real_matrix_is_solved_in_real_arithmetic(monkeypatch):
     assert all(exact)
     assert len(eigh_exact) == 7 * 2 * 3
     assert all(eigh_exact)
+
+
+def test_each_matrix_takes_the_route_its_shape_names(monkeypatch):
+    # A real X matrix, and its complex copy, go to the block solve as one row
+    # and never to LAPACK; any other matrix goes to np.linalg.eigvalsh once,
+    # as an exactly Hermitian complex128. No public route calls the Jacobi
+    # kernel.
+    routes = []
+    eigvalsh, x_stack = np.linalg.eigvalsh, linalg.x_eigenvalues_stack
+
+    def lapack(a):
+        routes.append(("lapack", a.dtype, np.array_equal(a, a.conj().T)))
+        return eigvalsh(a)
+
+    def block(diag, anti):
+        routes.append(("block", diag.shape, anti.shape))
+        return x_stack(diag, anti)
+
+    def refuse(*args):
+        raise AssertionError("a public route called the Jacobi kernel")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+    monkeypatch.setattr(linalg, "x_eigenvalues_stack", block)
+    monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", refuse)
+    rng = np.random.default_rng(151)
+    x = random_x_stack(rng, 1, 8)[0]
+    dense = random_hermitian(rng, 8)
+    complex_x = x + 1j * np.fliplr(np.diag([1e-3, 0, 0, 0, 0, 0, 0, -1e-3]))
+    cases = [
+        (hermitian_eigenvalues, x, ("block", (1, 8), (1, 8))),
+        (hermitian_eigenvalues, x.astype(np.complex128), ("block", (1, 8), (1, 8))),
+        (lambda m: negativity(m, 0), GHZ, ("block", (1, 8), (1, 8))),
+        (lambda m: two_tangle(m, (0, 1)), GHZ, ("block", (1, 4), (1, 4))),
+        (hermitian_eigenvalues, dense.real.copy(), ("lapack", np.complex128, True)),
+        (hermitian_eigenvalues, dense, ("lapack", np.complex128, True)),
+        (hermitian_eigenvalues, complex_x, ("lapack", np.complex128, True)),
+        (trace_norm, dense, ("lapack", np.complex128, True)),
+    ]
+    rho = random_density_matrix(rng, 8)
+    cases += [(lambda m, q=q: negativity(m, q), rho, ("lapack", np.complex128, True)) for q in range(3)]
+    pairs = itertools.combinations(range(3), 2)
+    cases += [(lambda m, pair=pair: two_tangle(m, pair), rho, ("lapack", np.complex128, True)) for pair in pairs]
+    for route, m, want in cases:
+        routes.clear()
+        route(m)
+        assert routes == [want]

@@ -123,10 +123,9 @@ def test_find_esd_refuses_a_state_that_is_not_real(channel, monkeypatch):
 @example(kind="phase_damping", r=math.pi / 4, extra=[])
 def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
     # The stack route's spectra against the public single-matrix route on
-    # the dense complex cut of the element-wise oracle's dephased state; the
-    # single kernel does the same arithmetic on a real pivot and skips and
-    # stops by the same rule. Near p = 1/2 the coherence is tiny against the
-    # cut's diagonal.
+    # the dense complex cut of the element-wise oracle's dephased state, which
+    # has no imaginary part and so takes the block solve as one row. Near
+    # p = 1/2 the coherence is tiny against the cut's diagonal.
     params = np.concatenate([LADDER_PARAMS, np.array(extra).reshape(-1, 3)])
     state = ghz_rindler_density(r, r)
     diag, anti = tangles._x_parts(state)

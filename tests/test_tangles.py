@@ -69,6 +69,24 @@ def test_negativity_cross_check_guard(monkeypatch):
         negativity(BELL, 0)
 
 
+def test_tangles_refuse_a_trace_other_than_one(monkeypatch):
+    # A Hermitian matrix's dual-route gap is tr - 1, so a wrong trace is the
+    # caller's error: a ValueError before any solve, not the cross-check's
+    # RuntimeError. Within CROSS_CHECK_TOL of 1 it is solved as before.
+    assert negativity((1.0 + 1e-11) * np.eye(8) / 8, 0, 3) == two_tangle(np.eye(8) / 8, (0, 1), 3) == 0.0
+
+    def refuse(m):
+        raise AssertionError("a matrix of the wrong trace was solved")
+
+    monkeypatch.setattr(tangles, "_eigenvalues", refuse)
+    ghz = ghz_rindler_density(0.0, 0.0)
+    for rho in (2.0 * np.eye(8) / 8, (1.0 + 1e-9) * ghz, np.zeros((8, 8)), np.diag([1e308] * 8)):
+        with pytest.raises(ValueError, match="trace must be 1"):
+            negativity(rho, 0, 3)
+        with pytest.raises(ValueError, match="trace must be 1"):
+            two_tangle(rho, (0, 1), 3)
+
+
 def test_two_tangle_bell_embedded():
     # AB pair of |Bell> x |0><0| keeps its full pair entanglement.
     rho = np.kron(BELL, np.diag([1.0, 0.0])).astype(complex)
