@@ -16,20 +16,24 @@ checked and solved scaled by a power of two, which is exact, and its
 eigenvalues scaled back; beyond the float64 range they become +-inf, with
 numpy's overflow warning.
 
-A public function coerces its input with ``as_matrix`` and checks its
-arguments with ``_checked_keep``, once, then calls the internal form that
-skips them (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``),
-as ``tangles.negativity`` and ``tangles.two_tangle`` do. Hermiticity
-(``ValueError``, to 1e-10 of 1 or of the largest real or imaginary part)
-and convergence (``RuntimeError``, for LAPACK's ``LinAlgError``) are checked
-on every solve; ``_checked_hermitian`` makes the solvers' input exactly
-Hermitian. ``x_eigenvalues_stack`` solves the report pipeline's X matrices,
-given as float64 diagonals and anti-diagonals, by rotating each 2x2 block
-once; ``tangles._x_parts`` makes and checks them.
+Each check runs once per public call, in one place:
+- ``as_matrix``: square and finite (``ValueError``); the internal forms
+  (``_partial_trace``, ``_partial_transpose``, ``_eigenvalues``) skip it.
+- ``_checked_keep``: the dimension and the qubit indices (``ValueError``).
+- ``_checked_hermitian``, on every solve: non-empty, then hermiticity
+  (``ValueError``, to 1e-10 of 1 or of the largest real or imaginary part,
+  read in one pass); it makes the solvers' input exactly Hermitian.
+- ``_eigenvalues``: convergence (``RuntimeError``, for LAPACK's
+  ``LinAlgError``).
+``tangles.negativity`` and ``tangles.two_tangle`` add the unit trace and the
+negativity cross-check. ``x_eigenvalues_stack`` solves the report
+pipeline's X matrices, given as float64 diagonals and anti-diagonals, by
+rotating each 2x2 block once; ``tangles._x_parts`` makes and checks them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -103,22 +107,38 @@ def _partial_transpose(rho: np.ndarray, subsystem: int, n: int) -> np.ndarray:
 def _checked_hermitian(m: np.ndarray) -> tuple[np.ndarray, int]:
     """``(h, e)``: ``m`` times ``2^-e`` (exact), checked and made exactly Hermitian; ``e`` is 0
     unless a real or imaginary part exceeds SCALE_MAX, where a sum or a rotation can overflow."""
-    # Parts, not moduli: a modulus near the float64 limit can overflow.
-    big = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    if not m.size:
+        raise ValueError("matrix must be non-empty")
+    # Parts, not moduli: a modulus near the float64 limit can overflow. A C-contiguous
+    # matrix's float64 view holds every real and imaginary part, so one pass reads them.
+    if m.flags.c_contiguous:
+        big = float(np.abs(m.view(np.float64)).max())
+    else:
+        big = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
     e = math.frexp(big)[1] if big > SCALE_MAX else 0
-    m = m * 2.0**-e
-    mh = np.swapaxes(m, -1, -2).conj()
+    if e:
+        m = m * 2.0**-e
+    mh = m.T.conj()
     if not np.abs(m - mh).max() <= HERMITICITY_TOL * max(1.0, big) * 2.0**-e:
         raise ValueError("hermiticity violated")
-    return (mh + m) / 2.0, e
+    h = mh + m
+    h /= 2.0
+    return h, e
+
+
+@functools.lru_cache(maxsize=8)
+def _off_x(d: int) -> np.ndarray:
+    """The read-only mask of the entries of a d x d matrix off its diagonal and anti-diagonal."""
+    j = np.arange(d)
+    mask = (j[:, None] != j) & (j[:, None] + j != d - 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # For one coerced matrix: the checks and the solve of hermitian_eigenvalues.
     h, e = _checked_hermitian(m)
-    j = np.arange(len(h))
-    off_x = (j[:, None] != j) & (j[:, None] + j != len(h) - 1)
-    if not h.imag.any() and not h[off_x].any():
+    if not h.imag.any() and not h[_off_x(len(h))].any():
         # A real X matrix: the block solve, relatively accurate on a tiny coherence.
         w = x_eigenvalues_stack(h.real.diagonal()[None], h.real[:, ::-1].diagonal()[None])[0]
     else:
@@ -127,7 +147,7 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
             w = np.linalg.eigvalsh(h.astype(np.complex128, copy=False))
         except np.linalg.LinAlgError:
             raise RuntimeError("eigensolver did not converge") from None
-    return np.ldexp(w, e)
+    return np.ldexp(w, e) if e else w
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

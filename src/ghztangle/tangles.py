@@ -28,7 +28,7 @@ import numpy as np
 
 from . import closedform
 from .channels import PHASE_DAMPING, PHASE_FLIP, CouplingConfig, dephase_x
-from .linalg import _checked_keep, _eigenvalues, _partial_trace, _partial_transpose, as_matrix, x_eigenvalues_stack
+from .linalg import _checked_keep, _eigenvalues, _off_x, _partial_trace, _partial_transpose, as_matrix, x_eigenvalues_stack
 from .rindler import ghz_rindler_density
 
 CROSS_CHECK_TOL = 1e-10
@@ -36,12 +36,9 @@ CROSS_CHECK_TOL = 1e-10
 # overhead thin, few enough that peak memory stays near the one-point run's.
 CHUNK = 512
 
-_J = np.arange(8)
-# The entries (i, j) of an 8x8 matrix off its diagonal and anti-diagonal.
-_OFF_X = (_J[:, None] != _J) & (_J[:, None] + _J != 7)
 # Per one-vs-rest cut k = 0, 1, 2, the anti-diagonal of its partial transpose as indices
 # into the state's: the transpose moves coherence (j, 7-j) to (j^b, 7-(j^b)), b = 4 >> k.
-_FLIPPED = _J ^ (4 >> np.arange(3))[:, None]
+_FLIPPED = np.arange(8) ^ (4 >> np.arange(3))[:, None]
 # Per pair q = 0, 1, 2 (AB, AC, BC; cut 3 + q), the two diagonal entries summed into each
 # of its four probabilities: bit q, the traced qubit's, clear and set.
 _PAIR_LOW = np.array([[j for j in range(8) if not j >> q & 1] for q in range(3)])
@@ -78,9 +75,19 @@ def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
     return from_negatives
 
 
+def _negativity(w: np.ndarray) -> float:
+    """``_negativity_from_spectra`` of one spectrum: the same IEEE operations, the
+    cross-check on Python floats, where inf - inf is NaN without a warning."""
+    from_negatives = -2.0 * float(np.where(w < 0.0, w, 0.0).sum()) + 0.0
+    from_norm = float(np.abs(w).sum()) - 1.0
+    if not abs(from_norm - from_negatives) <= CROSS_CHECK_TOL:
+        raise RuntimeError("negativity cross-check failed")
+    return from_negatives
+
+
 def _check_unit_trace(rho: np.ndarray) -> None:
     with np.errstate(over="ignore"):
-        if not abs(np.trace(rho).real - 1.0) <= CROSS_CHECK_TOL:
+        if not abs(rho.trace().real - 1.0) <= CROSS_CHECK_TOL:
             raise ValueError("trace must be 1")
 
 
@@ -96,8 +103,7 @@ def negativity(rho, subsystem: int, n_qubits: int | None = None) -> float:
     rho = as_matrix(rho)
     _, n = _checked_keep(rho, (subsystem,), n_qubits)
     _check_unit_trace(rho)
-    pt = _partial_transpose(rho, subsystem, n)
-    return float(_negativity_from_spectra(_eigenvalues(pt)))
+    return _negativity(_eigenvalues(_partial_transpose(rho, subsystem, n)))
 
 
 def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float:
@@ -107,8 +113,7 @@ def two_tangle(rho, pair: tuple[int, int], n_qubits: int | None = None) -> float
     if len(pair) != 2:
         raise ValueError("pair must name two qubits")
     _check_unit_trace(rho)
-    pt = _partial_transpose(_partial_trace(rho, pair, n), 0, 2)
-    return float(_negativity_from_spectra(_eigenvalues(pt)))
+    return _negativity(_eigenvalues(_partial_transpose(_partial_trace(rho, pair, n), 0, 2)))
 
 
 def residual(n_one: float, n_pair_x: float, n_pair_y: float) -> float:
@@ -233,7 +238,7 @@ def _x_parts(states) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError("state has an imaginary part; the float64 stack route needs a real one")
     states = states.real
     anti = np.diagonal(states[:, :, ::-1], axis1=1, axis2=2).copy()
-    if states[:, _OFF_X].any() or not np.array_equal(anti, anti[:, ::-1]):
+    if states[:, _off_x(8)].any() or not np.array_equal(anti, anti[:, ::-1]):
         raise RuntimeError("state is not an X-state; the stack route needs exactly symmetric X matrices")
     return np.diagonal(states, axis1=1, axis2=2).copy(), anti
 

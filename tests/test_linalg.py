@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ghztangle import linalg
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
+from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity, two_tangle
 
 from oracles import (
@@ -283,6 +284,19 @@ def test_as_matrix_rejects_nonsquare():
         linalg.as_matrix(np.zeros((2, 3)))
 
 
+def test_an_empty_matrix_is_refused():
+    # A 0x0 matrix reached a max reduction, whose numpy message named no
+    # input. The partial trace and transpose refuse it as a dimension.
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=int)):
+        for route in (hermitian_eigenvalues, trace_norm, linalg._hermitian_eigensystem):
+            with pytest.raises(ValueError, match="^matrix must be non-empty$"):
+                route(empty)
+        with pytest.raises(ValueError, match="not a power of two"):
+            partial_trace(empty, (0,))
+        with pytest.raises(ValueError, match="not a power of two"):
+            partial_transpose(empty, 0)
+
+
 def _near_hermitian(rng, d: int, kind: str, gap: float) -> np.ndarray:
     # A random unit-trace state, real or complex, plus noise up to gap off
     # Hermitian that leaves the diagonal alone, so the trace stays one.
@@ -402,3 +416,51 @@ def test_each_matrix_takes_the_route_its_shape_names(monkeypatch):
         routes.clear()
         route(m)
         assert routes == [want]
+
+
+def _layouts(m: np.ndarray) -> list[np.ndarray]:
+    # m's values in views that are not C-contiguous: Fortran order, the
+    # transpose of a C-order array, every third column of a wider array and
+    # every other row of a taller one.
+    d = len(m)
+    wide = np.zeros((d, 3 * d), dtype=m.dtype)
+    wide[:, ::3] = m
+    tall = np.zeros((2 * d, d), dtype=m.dtype)
+    tall[::2] = m
+    return [np.asfortranarray(m), np.ascontiguousarray(m.T).T, wide[:, ::3], tall[::2]]
+
+
+def _outcome(route, m):
+    # The bytes a route returns, or the message of the ValueError it raises.
+    try:
+        return np.asarray(route(m)).tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+def test_a_matrix_in_any_layout_gives_the_bytes_of_its_c_order_copy():
+    # A C-contiguous matrix's largest part is read through its float64 view;
+    # any other layout takes the .real / .imag route, which must agree.
+    rng = np.random.default_rng(157)
+    routes = [hermitian_eigenvalues, trace_norm]
+    routes += [lambda m, q=q: negativity(m, q) for q in range(3)]
+    routes += [lambda m, pair=pair: two_tangle(m, pair) for pair in itertools.combinations(range(3), 2)]
+    x = ghz_rindler_density(0.3, 0.3)
+    refused = [_near_hermitian(rng, 8, kind, 1e-9) for kind in ("real", "complex")]
+    for m in refused:
+        assert _outcome(hermitian_eigenvalues, m) == "hermiticity violated"
+    near = [_near_hermitian(rng, 8, kind, 1e-11) for kind in ("real", "complex")]
+    # 1e-8 off Hermitian, which only the tolerance of a largest part of 1e4,
+    # real in one and imaginary in the other, accepts; and one beyond 2^1000.
+    h = random_hermitian(rng, 8)
+    lopsided = [1e4 * h.real + 1j * h.imag, h.real + 1e4j * h.imag]
+    for m in lopsided:
+        m[0, 1] += 1e-8
+    big = random_hermitian(rng, 8) * 2.0**1010
+    matrices = [random_density_matrix(rng, 8), _near_hermitian(rng, 8, "real", 0.0), x, x.real.copy()]
+    for m in [*matrices, *near, *refused, *lopsided, big]:
+        for route in routes:
+            want = _outcome(route, np.ascontiguousarray(m))
+            for view in _layouts(m):
+                assert not view.flags.c_contiguous
+                assert _outcome(route, view) == want

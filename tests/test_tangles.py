@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from ghztangle import linalg, tangles
 from ghztangle.analysis import TANGLE_SELECTORS
 from ghztangle.channels import CouplingConfig, apply_channel, lift
+from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
     TangleReport,
@@ -132,13 +134,20 @@ def test_tangles_reject_nonfinite(bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_a_nonfinite_spectrum_fails_the_cross_check(bad):
+def test_a_nonfinite_spectrum_fails_the_cross_check(bad, monkeypatch):
     # -inf gives inf - inf between the two routes; that must end in the
-    # cross-check's RuntimeError, not in a warning.
+    # cross-check's RuntimeError, not in a warning: on a stack, and on the
+    # public routes, which reduce their one spectrum on Python floats.
+    monkeypatch.setattr(tangles, "_eigenvalues", lambda m: np.array([bad, 0.25, 0.5]))
+    rho = np.eye(8) / 8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="negativity cross-check failed"):
             tangles._negativity_from_spectra(np.array([[0.25, 0.5], [bad, 1.0]]))
+        with pytest.raises(RuntimeError, match="negativity cross-check failed"):
+            negativity(rho, 0, 3)
+        with pytest.raises(RuntimeError, match="negativity cross-check failed"):
+            two_tangle(rho, (0, 1), 3)
 
 
 def test_each_public_call_coerces_its_input_once(monkeypatch):
@@ -156,6 +165,40 @@ def test_each_public_call_coerces_its_input_once(monkeypatch):
     assert len(calls) == 1
     two_tangle(rho, (0, 1), 3)
     assert len(calls) == 2
+
+
+# sha256 of the dense public route's bytes on _dense_states(2031), recorded at
+# 9bfb95e with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64.
+DENSE_ROUTE_DIGEST = "08f8fe3908ba414ccb70c5b704a71ba24f3fbed8c2b28275e15a9f96519f5a63"
+
+
+def _dense_states(seed):
+    # Random 3-qubit states of rank 1, 2, 4 and 8, 16 each, built as the
+    # perfbench dense_states workload builds its own.
+    rng = np.random.default_rng(seed)
+    states = []
+    for rank in (1, 2, 4, 8):
+        for _ in range(16):
+            a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+            rho = a @ a.conj().T
+            states.append(rho / np.trace(rho).real)
+    return states
+
+
+def test_the_dense_route_keeps_its_bytes():
+    # The six negativities of each state, then the eigenvalues of each of
+    # its six cuts: any change to the checks or the solve that moves a last
+    # digit moves the digest.
+    pairs = ((0, 1), (0, 2), (1, 2))
+    digest = hashlib.sha256()
+    for rho in _dense_states(2031):
+        values = [negativity(rho, q, 3) for q in range(3)] + [two_tangle(rho, pair, 3) for pair in pairs]
+        digest.update(np.array(values).tobytes())
+        cuts = [partial_transpose(rho, q, 3) for q in range(3)]
+        cuts += [partial_transpose(partial_trace(rho, pair, 3), 0, 2) for pair in pairs]
+        for cut in cuts:
+            digest.update(hermitian_eigenvalues(cut).tobytes())
+    assert digest.hexdigest() == DENSE_ROUTE_DIGEST
 
 
 def test_residual_arithmetic():
