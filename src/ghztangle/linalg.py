@@ -109,12 +109,9 @@ def _checked_hermitian(m: np.ndarray) -> tuple[np.ndarray, int]:
     unless a real or imaginary part exceeds SCALE_MAX, where a sum or a rotation can overflow."""
     if not m.size:
         raise ValueError("matrix must be non-empty")
-    # Parts, not moduli: a modulus near the float64 limit can overflow. A C-contiguous
-    # matrix's float64 view holds every real and imaginary part, so one pass reads them.
-    if m.flags.c_contiguous:
-        big = float(np.abs(m.view(np.float64)).max())
-    else:
-        big = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
+    # Parts, not moduli: a modulus near the float64 limit can overflow. The float64 view
+    # of the C-order matrix (the matrix itself, unless another layout) holds every part.
+    big = float(np.abs(np.ascontiguousarray(m).view(np.float64)).max())
     e = math.frexp(big)[1] if big > SCALE_MAX else 0
     if e:
         m = m * 2.0**-e

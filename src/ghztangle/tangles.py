@@ -64,6 +64,7 @@ def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
 
     A spectrum without a negative eigenvalue gives exactly +0.0. A spectrum
     holding NaN or an infinity fails the cross-check; an empty stack passes.
+    ``_negativity`` repeats these IEEE operations for one spectrum: edit both.
     """
     from_negatives = -2.0 * np.where(w < 0.0, w, 0.0).sum(axis=-1) + 0.0
     from_norm = np.abs(w).sum(axis=-1) - 1.0

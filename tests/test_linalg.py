@@ -439,8 +439,8 @@ def _outcome(route, m):
 
 
 def test_a_matrix_in_any_layout_gives_the_bytes_of_its_c_order_copy():
-    # A C-contiguous matrix's largest part is read through its float64 view;
-    # any other layout takes the .real / .imag route, which must agree.
+    # The largest part is read through the float64 view of a C-order copy;
+    # the copy, like the solve, must not depend on the input's layout.
     rng = np.random.default_rng(157)
     routes = [hermitian_eigenvalues, trace_norm]
     routes += [lambda m, q=q: negativity(m, q) for q in range(3)]

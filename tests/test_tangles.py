@@ -168,7 +168,11 @@ def test_each_public_call_coerces_its_input_once(monkeypatch):
 
 
 # sha256 of the dense public route's bytes on _dense_states(2031), recorded at
-# 9bfb95e with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64.
+# 9bfb95e with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64 (an AMD EPYC host). The
+# bytes are LAPACK's, so they depend on the numpy and OpenBLAS versions and on
+# the CPU kernels OpenBLAS dispatches to: on another CPU target this test can
+# fail with nothing regressed. The layout and stack-route tests compare within
+# one process and hold everywhere.
 DENSE_ROUTE_DIGEST = "08f8fe3908ba414ccb70c5b704a71ba24f3fbed8c2b28275e15a9f96519f5a63"
 
 
