@@ -7,7 +7,6 @@ Closed-form reference expressions ride along and are cross-checked against
 the numeric pipeline, never substituted for it.
 """
 
-from ._kernels import backend_name
 from .analysis import (
     DEFAULT_R_VALUES,
     ERRATA,
@@ -31,6 +30,7 @@ from .channels import (
     phase_flip,
 )
 from .linalg import (
+    backend_name,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,

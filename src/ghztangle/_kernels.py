@@ -1,26 +1,21 @@
-"""The cyclic Jacobi kernel, which no package route calls.
+"""The cyclic Jacobi kernel, which nothing in the package imports.
 
 ``jacobi_sweeps`` diagonalizes one Hermitian matrix in place, on Python
 numbers, with the complex rotation of Forsythe and Henrici (Trans. AMS 94,
-1960). It skips a pivot negligible against its own diagonal,
-``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1992), stops after a sweep that rotates nothing and
-returns the number of sweeps that rotated something, or -1 if
+1960). It skips a pivot by ``linalg``'s rule and constants, ``|a_pq| <=
+EPS * (sqrt|a_pp| * sqrt|a_qq|)``, stops after a sweep that rotates nothing
+and returns the number of sweeps that rotated something, or -1 if
 ``max_sweeps`` were not enough. ``linalg`` solves dense matrices with
 ``np.linalg.eigvalsh`` and X matrices with ``linalg.x_eigenvalues_stack``,
-which gives each 2x2 block this kernel's one rotation, with the same rule
-and constants. The kernel stays only because ``perfbench/tracer.py`` wraps
-it by name; it goes with that layer.
+and holds ``backend_name``. The kernel stays only because
+``perfbench/tracer.py`` wraps it by name; it goes with that layer.
 """
 
 from __future__ import annotations
 
 import math
 
-# Beyond this |theta|, theta * theta overflows (or nearly does); there
-# sqrt(1 + theta^2) is |theta| to working precision, so t = 1 / (2 |theta|).
-BIG_THETA = 1e150
-EPS = 2.0**-52
+from .linalg import BIG_THETA, EPS
 
 
 def jacobi_sweeps(a, max_sweeps):
@@ -80,8 +75,3 @@ def jacobi_sweeps(a, max_sweeps):
             break
     a[...] = rows
     return sweeps
-
-
-def backend_name() -> str:
-    """Name of the eigen kernel backend; numpy is the only one."""
-    return "numpy"

@@ -12,9 +12,9 @@ from .rindler import check_accel_param, ghz_rindler_density
 from .tangles import _SELECTOR_CUTS, NUMERIC_COLUMNS, TangleReport, _combine, _selected, _x_parts, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
-COUPLING_LABELS = ("collective", "local_alice", "custom")
 # Per-qubit weights of the swept p; a "custom" coupling takes the spec's.
 _COUPLING_WEIGHTS = {"collective": (1.0, 1.0, 1.0), "local_alice": (1.0, 0.0, 0.0)}
+COUPLING_LABELS = (*_COUPLING_WEIGHTS, "custom")
 
 # A tangle back above this after a death marks a rebound.
 REBOUND_TOL = 1e-6
@@ -54,13 +54,15 @@ class SweepSpec:
             raise ValueError(f"unknown channel kind {self.channel!r}")
         if self.coupling not in COUPLING_LABELS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        for w in self.weights:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError("weights must be in [0, 1]")
         if len(self.r_values) == 0:
             raise ValueError("empty r list")
         for r in self.r_values:
             check_accel_param(r)
+        for w in self.weights:
+            if not 0.0 <= w <= 1.0:
+                raise ValueError("weights must be in [0, 1]")
+        if self.coupling != "custom" and tuple(self.weights) != (1.0, 1.0, 1.0):
+            raise ValueError("weights apply only to coupling 'custom'")
         if not 0.0 <= self.p_start <= self.p_stop <= 1.0:
             raise ValueError("p range must satisfy 0 <= start <= stop <= 1")
         if not 0.0 < self.p_step < math.inf:
@@ -163,12 +165,10 @@ def find_esd(
     each decision is the predicted one, the search asks those points and
     has that result; if not, it runs again on the evaluated decisions, one
     stack per further point. RuntimeError if the state is not such an
-    X-state; ValueError for weights other than (1, 1, 1) unless coupling is "custom".
+    X-state; ValueError for any input ``SweepSpec`` refuses.
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
-    if coupling != "custom" and tuple(weights) != (1.0, 1.0, 1.0):
-        raise ValueError("weights apply only to coupling 'custom'")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
     parts = _check_x_state(r)
     p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, spec._weights())

@@ -67,12 +67,6 @@ def phase_flip(p: float) -> SingleQubitKraus:
 _MAKERS = {PHASE_DAMPING: phase_damping, PHASE_FLIP: phase_flip}
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in _MAKERS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    return kind
-
-
 @dataclass(frozen=True)
 class CouplingConfig:
     """Which channel acts on which qubit, and how strongly.
@@ -88,7 +82,8 @@ class CouplingConfig:
     label: str = "custom"
 
     def __post_init__(self):
-        _check_kind(self.kind)
+        if self.kind not in CHANNEL_KINDS:
+            raise ValueError(f"unknown channel kind {self.kind!r}")
         for p in (self.p0, self.p1, self.p2):
             _check_p(p)
 
@@ -142,7 +137,7 @@ def lift(cfg: CouplingConfig) -> tuple[np.ndarray, ...]:
     by position. With every parameter zero the only nonzero operator is
     the 8x8 identity (each channel's E1 vanishes at p = 0).
     """
-    maker = _MAKERS[_check_kind(cfg.kind)]
+    maker = _MAKERS[cfg.kind]
     singles = [maker(p).ops for p in cfg.params]
     ops = []
     for e0 in singles[0]:

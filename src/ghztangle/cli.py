@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    COUPLING_LABELS,
     DEFAULT_R_VALUES,
     SweepSpec,
     TANGLE_SELECTORS,
@@ -27,7 +28,8 @@ from .analysis import (
     sweep_chunks,
     verify,
 )
-from .rindler import check_accel_param, ghz_rindler_density
+from .channels import CHANNEL_KINDS
+from .rindler import ghz_rindler_density
 from .tangles import NUMERIC_COLUMNS, TangleReport
 
 EXIT_OK = 0
@@ -37,8 +39,8 @@ EXIT_VERIFY = 3
 
 COLUMNS = tuple(f.name for f in dataclasses.fields(TangleReport))
 
-_CHANNEL_FLAGS = {"phase-damping": "phase_damping", "phase-flip": "phase_flip"}
-_COUPLING_FLAGS = {"local-alice": "local_alice", "collective": "collective", "custom": "custom"}
+_CHANNEL_FLAGS = {kind.replace("_", "-"): kind for kind in CHANNEL_KINDS}
+_COUPLING_FLAGS = {label.replace("_", "-"): label for label in COUPLING_LABELS}
 
 
 class UsageError(Exception):
@@ -141,10 +143,9 @@ def _parse_r_list(text: str) -> tuple[float, ...]:
     if not items:
         raise UsageError("empty r list")
     try:
-        values = [float(item) for item in items]
+        return tuple(float(item) for item in items)
     except ValueError as exc:
         raise UsageError(f"bad r value: {exc}") from None
-    return tuple(check_accel_param(v) for v in values)
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -158,8 +159,7 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
 
 
 def cmd_state(args) -> int:
-    r = check_accel_param(args.r)
-    rho = ghz_rindler_density(r, r)
+    rho = ghz_rindler_density(args.r, args.r)
     if args.format == "json":
         entries = [
             [[_fmt12(z.real), _fmt12(z.imag)] for z in row] for row in rho
@@ -169,7 +169,7 @@ def cmd_state(args) -> int:
         ]
         text = (
             "{\n"
-            f'  "r": {_fmt12(r)},\n'
+            f'  "r": {_fmt12(args.r)},\n'
             '  "matrix": [\n' + ",\n".join(rows) + "\n  ],\n"
             f'  "trace": {_fmt12(rho.trace().real)}\n'
             "}"

@@ -29,6 +29,10 @@ Each check runs once per public call, in one place:
 negativity cross-check. ``x_eigenvalues_stack`` solves the report
 pipeline's X matrices, given as float64 diagonals and anti-diagonals, by
 rotating each 2x2 block once; ``tangles._x_parts`` makes and checks them.
+A block is left as it is when its coherence is negligible against its own
+diagonal, ``|a_pq| <= EPS * (sqrt|a_pp| * sqrt|a_qq|)`` (Demmel and
+Veselic, SIAM J. Matrix Anal. Appl. 13, 1992); any other takes the one
+Jacobi rotation that diagonalizes it.
 """
 
 from __future__ import annotations
@@ -38,10 +42,17 @@ import math
 
 import numpy as np
 
-from . import _kernels
-
 HERMITICITY_TOL = 1e-10
 SCALE_MAX = 2.0**1000
+# The block solve's skip rule. Beyond BIG_THETA, theta * theta (nearly) overflows and
+# sqrt(1 + theta^2) is |theta| to working precision, so t = 1 / (2 |theta|).
+EPS = 2.0**-52
+BIG_THETA = 1e150
+
+
+def backend_name() -> str:
+    """Name of the eigen kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 def as_matrix(m) -> np.ndarray:
@@ -156,24 +167,26 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric X matrices, one row each, from float64 ``(N, d)`` parts.
 
     Matrix i is ``diag[i, j]`` at (j, j), ``anti[i, j]`` at (j, d-1-j) and
-    zero elsewhere, so each block (j, d-1-j) is an independent 2x2. It takes
-    the one rotation ``_kernels.jacobi_sweeps`` would give it, with the same
-    skip rule and IEEE operations. ``_eigenvalues`` solves a single real X
-    matrix here as one row, so rows are bit-identical to ``hermitian_eigenvalues``
-    of each matrix; the parts are not changed. Float64 is unchecked:
-    ``_x_parts``, ``dephase_x`` and ``_eigenvalues`` make it.
+    zero elsewhere, so each block (j, d-1-j) is an independent 2x2
+    [[a_pp, a_pq], [a_pq, a_qq]]. One within the skip rule keeps its entries;
+    any other is diagonalized by one Jacobi rotation, theta = (a_qq - a_pp) /
+    (2 a_pq), t = sign(theta) / (|theta| + sqrt(1 + theta^2)), c = 1 /
+    sqrt(1 + t^2), s = t c, on its columns and then its rows. ``_eigenvalues``
+    solves a single real X matrix here as one row, so rows are bit-identical
+    to ``hermitian_eigenvalues`` of each matrix; the parts are not changed.
+    Float64 is unchecked: ``_x_parts``, ``dephase_x`` and ``_eigenvalues`` make it.
     """
     d = diag.shape[-1]
     k = d // 2
     w = diag.copy()
     # Views into w: the diagonal entries (j, j) and (d-1-j, d-1-j) of block j.
     low, high = w[:, :k], w[:, ::-1][:, :k]
-    act = ~(np.abs(anti[:, :k]) <= _kernels.EPS * (np.sqrt(np.abs(low)) * np.sqrt(np.abs(high))))
+    act = ~(np.abs(anti[:, :k]) <= EPS * (np.sqrt(np.abs(low)) * np.sqrt(np.abs(high))))
     app, aqq, apq = low[act], high[act], anti[:, :k][act]
     with np.errstate(over="ignore", divide="ignore"):
         theta = (aqq - app) / (2.0 * apq)
         at = np.abs(theta)
-        t = np.where(at > _kernels.BIG_THETA, 0.5 / at, 1.0 / (at + np.sqrt(1.0 + theta * theta)))
+        t = np.where(at > BIG_THETA, 0.5 / at, 1.0 / (at + np.sqrt(1.0 + theta * theta)))
     t = np.where(theta < 0.0, -t, t)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c

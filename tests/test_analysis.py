@@ -54,6 +54,10 @@ def test_sweep_spec_validation():
         SweepSpec("phase_flip", coupling="local_bob")
     with pytest.raises(ValueError, match=r"weights must be in \[0, 1\]"):
         SweepSpec("phase_flip", coupling="custom", weights=(0.5, 1.5, 0.5))
+    # Weights with another coupling are refused, not silently ignored.
+    for coupling in ("collective", "local_alice"):
+        with pytest.raises(ValueError, match="weights apply only to coupling 'custom'"):
+            SweepSpec("phase_flip", coupling, weights=(0.5, 0, 0))
     with pytest.raises(ValueError, match="empty r list"):
         SweepSpec("phase_flip", r_values=())
     with pytest.raises(ValueError, match="r out of range"):

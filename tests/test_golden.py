@@ -116,7 +116,8 @@ def _public_route_report(r, cfg):
 @pytest.mark.parametrize("coupling", ["collective", "local_alice", "custom"])
 def test_full_reports_equal_public_route(kind, coupling, monkeypatch):
     monkeypatch.setattr(tangles, "CHUNK", 16)
-    spec = SweepSpec(kind, coupling, weights=(0.9, 0.4, 0.65), p_step=0.025)
+    weights = (0.9, 0.4, 0.65) if coupling == "custom" else (1.0, 1.0, 1.0)
+    spec = SweepSpec(kind, coupling, weights=weights, p_step=0.025)
     configs = [spec.config_at(p) for p in spec.p_grid()]
     points = [(r, cfg) for r in DEFAULT_R_VALUES for cfg in configs]
     assert len(points) > tangles.CHUNK  # crosses chunk boundaries

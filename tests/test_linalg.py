@@ -1,12 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghztangle import linalg
+from ghztangle import _kernels, linalg
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose, trace_norm
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity, two_tangle
@@ -27,7 +31,7 @@ GHZ[0, 0] = GHZ[7, 7] = GHZ[0, 7] = GHZ[7, 0] = 0.5
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[3, 3] = BELL[0, 3] = BELL[3, 0] = 0.5
 
-EPS = linalg._kernels.EPS
+EPS = linalg.EPS
 
 
 def test_partial_trace_product_state():
@@ -393,7 +397,7 @@ def test_each_matrix_takes_the_route_its_shape_names(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
     monkeypatch.setattr(linalg, "x_eigenvalues_stack", block)
-    monkeypatch.setattr(linalg._kernels, "jacobi_sweeps", refuse)
+    monkeypatch.setattr(_kernels, "jacobi_sweeps", refuse)
     rng = np.random.default_rng(151)
     x = random_x_stack(rng, 1, 8)[0]
     dense = random_hermitian(rng, 8)
@@ -464,3 +468,20 @@ def test_a_matrix_in_any_layout_gives_the_bytes_of_its_c_order_copy():
             for view in _layouts(m):
                 assert not view.flags.c_contiguous
                 assert _outcome(route, view) == want
+
+
+def test_the_package_does_not_import_the_jacobi_kernel():
+    # linalg holds the block solve's skip-rule constants; the kernel takes
+    # them from there, and importing the package leaves it unloaded.
+    src = Path(linalg.__file__).resolve().parent.parent
+    probe = "import sys, ghztangle; print('ghztangle._kernels' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert _kernels.EPS is linalg.EPS
+    assert _kernels.BIG_THETA is linalg.BIG_THETA
