@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors, _first_zero
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import _SELECTOR_CUTS, NUMERIC_COLUMNS, TangleReport, _combine, _selected, _x_parts, report_chunks
+from .tangles import NUMERIC_COLUMNS, TangleReport, _residuals, _x_parts, pi_tangle, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 # Per-qubit weights of the swept p; a "custom" coupling takes the spec's.
@@ -130,8 +130,9 @@ class EsdResult:
 def _check_x_state(r: float) -> tuple[np.ndarray, np.ndarray]:
     """``tangles._x_parts(ghz_rindler_density(r, r))``; RuntimeError unless
     its only nonzero entries are rho[j, j] for j = 0..3 and 7, and the
-    coherence rho[0, 7] with its mirror. find_esd's death criterion and
-    ``_x_one_tangles`` rest on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
+    coherence rho[0, 7] with its mirror. Every decision of find_esd, its
+    death and each rebound point, rests on this shape, and ``_x_one_tangles``
+    on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
     diag, anti = _x_parts(ghz_rindler_density(r, r))
     if diag[:, 4:7].any() or anti[:, 1:7].any():
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
@@ -158,43 +159,28 @@ def find_esd(
     there is none. The two-tangles always are dead (p_star = 0).
 
     A rebound above REBOUND_TOL is looked for on the default p grid beyond
-    p_star by ``_search``; a search with no grid point there evaluates
-    nothing. ``_search`` runs first on the closed form ``_x_one_tangles``,
-    then every point it asked is evaluated in one ``tangles._selected``
-    stack, from the state's X parts split and checked once per search. If
-    each decision is the predicted one, the search asks those points and
-    has that result; if not, it runs again on the evaluated decisions, one
-    stack per further point. RuntimeError if the state is not such an
-    X-state; ValueError for any input ``SweepSpec`` refuses.
+    p_star by ``_search``. Each point it asks is decided from the exact
+    one-tangles ``_x_one_tangles`` of the state split and checked once per
+    search, with the two-tangles at 0, combined into the residuals and the
+    pi-tangle as ``report_chunks`` combines them. RuntimeError if the state
+    is not such an X-state; ValueError for any input ``SweepSpec`` refuses.
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
-    parts = _check_x_state(r)
-    p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, spec._weights())
+    diag, anti = (a[0].tolist() for a in _check_x_state(r))
+    ws, column = spec._weights(), TANGLE_SELECTORS.index(tangle)
+    p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, ws)
     if p_star is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
-    beyond = [p for p in _ESD_GRID if p > p_star]
-    # With no grid point beyond p_star (p_star = 1) there is no rebound and nothing to evaluate.
-    if not beyond:
-        return EsdResult(channel, coupling, r, tangle, p_star, False, False, None)
 
-    def above(ps) -> list[bool]:
-        return [v > REBOUND_TOL for v in _selected(channel, r, spec._params(ps), tangle, parts)]
-
-    diag, anti = (a[0].tolist() for a in parts)
-    cuts, ws = _SELECTOR_CUTS[tangle], spec._weights()
-    asked = {}  # point -> predicted decision, in the order asked
-
-    def predicted(p: float) -> bool:
+    def rebounded(p: float) -> bool:
         n = _x_one_tangles(channel, diag, anti, [w * p for w in ws]) + [0.0] * 3  # pair tangles are 0
-        asked[p] = _combine([n[k] for k in cuts]) > REBOUND_TOL
-        return asked[p]
+        res = _residuals(*n)
+        return (*n, *res, pi_tangle(*res))[column] > REBOUND_TOL
 
-    onset = _search(beyond, p_star, predicted)
-    known = dict(zip(asked, above(list(asked))))
-    if known != asked:
-        onset = _search(beyond, p_star, lambda p: known[p] if p in known else above([p])[0])
+    # With no grid point beyond p_star (p_star = 1) the search asks nothing.
+    onset = _search([p for p in _ESD_GRID if p > p_star], p_star, rebounded)
     return EsdResult(channel, coupling, r, tangle, p_star, False, onset is not None, onset)
 
 

@@ -9,12 +9,11 @@ Eigenvalues are solved by the matrix's shape. A real X matrix, zero off
 its diagonal and anti-diagonal, goes to ``x_eigenvalues_stack`` as one row,
 which keeps a tiny coherence relatively accurate; so does its complex copy.
 Any other matrix goes to ``np.linalg.eigvalsh`` as complex128, so a real
-matrix and its complex copy get the same eigenvalues bit for bit.
-Eigenvectors (the internal ``_hermitian_eigensystem``) come from
-``np.linalg.eigh``. A matrix with a real or imaginary part beyond 2^1000 is
-checked and solved scaled by a power of two, which is exact, and its
-eigenvalues scaled back; beyond the float64 range they become +-inf, with
-numpy's overflow warning.
+matrix and its complex copy get the same eigenvalues bit for bit. A
+matrix with a real or imaginary part beyond 2^1000 is checked and solved
+scaled by a power of two, which is exact, and its eigenvalues scaled
+back; beyond the float64 range they become +-inf, with numpy's overflow
+warning.
 
 Each check runs once per public call, in one place:
 - ``as_matrix``: square and finite (``ValueError``); the internal forms
@@ -194,13 +193,6 @@ def x_eigenvalues_stack(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     low[act] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
     high[act] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
     return np.sort(w)
-
-
-def _hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns). Internal use."""
-    h, e = _checked_hermitian(as_matrix(m))
-    w, v = np.linalg.eigh(h)
-    return np.ldexp(w, e), v
 
 
 def trace_norm(m) -> float:

@@ -11,13 +11,12 @@ report rows as one float array. The channel keeps the diagonal, so the
 pair cuts are sorted and cross-checked once per call, per distinct state.
 A stack then costs a fixed number of numpy calls, whatever its size: one
 dephasing, one solve and one cross-check for its one-vs-rest cuts, two
-closed-form calls per channel. ``_selected``, the sudden-death search's
-route, evaluates one state's points in one stack and only the cuts its
-tangle reads. Each state is an X state, carried as its diagonal and
-anti-diagonal (``_x_parts``). Each stage does exactly the arithmetic of
-its single-matrix counterpart, so a value does not depend on the stack
-it was computed in. ``full_reports`` turns ``CouplingConfig`` points
-into those arrays and the rows into ``TangleReport`` objects.
+closed-form calls per channel. Each state is an X state, carried as its
+diagonal and anti-diagonal (``_x_parts``). Each stage does exactly the
+arithmetic of its single-matrix counterpart, so a value does not depend
+on the stack it was computed in. ``full_reports`` turns
+``CouplingConfig`` points into those arrays and the rows into
+``TangleReport`` objects.
 """
 
 from __future__ import annotations
@@ -43,20 +42,6 @@ _FLIPPED = np.arange(8) ^ (4 >> np.arange(3))[:, None]
 # of its four probabilities: bit q, the traced qubit's, clear and set.
 _PAIR_LOW = np.array([[j for j in range(8) if not j >> q & 1] for q in range(3)])
 _PAIR_HIGH = _PAIR_LOW | (1 << np.arange(3))[:, None]
-
-# The cuts each tangle reads (0-2: A|BC, B|AC, C|AB; 3-5: AB, AC, BC), in the order _combine takes them.
-_SELECTOR_CUTS = {
-    "n_A_BC": (0,),
-    "n_B_AC": (1,),
-    "n_C_AB": (2,),
-    "n_AB": (3,),
-    "n_AC": (4,),
-    "n_BC": (5,),
-    "pi_A": (0, 3, 4),
-    "pi_B": (1, 3, 5),
-    "pi_C": (2, 4, 5),
-    "pi_tangle": tuple(range(6)),
-}
 
 
 def _negativity_from_spectra(w: np.ndarray) -> np.ndarray:
@@ -213,12 +198,12 @@ def report_chunks(r: np.ndarray, flip: np.ndarray, params: np.ndarray):
         raise ValueError("p must be in [0, 1]")
     values, index = np.unique(r, return_inverse=True)
     diag, anti = _x_parts(np.array([ghz_rindler_density(v, v) for v in values.tolist()]))
-    n_pairs = _negativity_from_spectra(_pair_spectra(diag, range(3)))
+    n_pairs = _negativity_from_spectra(_pair_spectra(diag))
     for start in range(0, len(r), CHUNK):
         at = slice(start, start + CHUNK)
         rows = index[at]
         a = dephase_x(flip[at], params[at], anti[rows])
-        n = (*_negativity_from_spectra(_one_vs_rest_spectra(diag[rows], a, range(3))).T, *n_pairs[rows].T)
+        n = (*_negativity_from_spectra(_one_vs_rest_spectra(diag[rows], a)).T, *n_pairs[rows].T)
         pi_a, pi_b, pi_c = _residuals(*n)
         pi = pi_tangle(pi_a, pi_b, pi_c)
         cf_a, cf_bc, cf_pi = _closed_forms(r[at], flip[at], params[at])
@@ -258,47 +243,19 @@ def _closed_forms(r, flip, params) -> np.ndarray:
     return out
 
 
-def _one_vs_rest_spectra(diag, anti, cuts) -> np.ndarray:
-    """``(N, len(cuts), 8)`` spectra of the one-vs-rest cuts k = 0, 1, 2
-    (A|BC, B|AC, C|AB) of X states, all solved in one call: each cut's
-    partial transpose is the X matrix with anti-diagonal ``anti[:, _FLIPPED[k]]``."""
-    diag = np.repeat(diag, len(cuts), axis=0)
-    return x_eigenvalues_stack(diag, anti[:, _FLIPPED[cuts]].reshape(-1, 8)).reshape(len(anti), len(cuts), 8)
+def _one_vs_rest_spectra(diag, anti) -> np.ndarray:
+    """``(N, 3, 8)`` spectra of the one-vs-rest cuts k = 0, 1, 2 (A|BC, B|AC,
+    C|AB) of X states, all solved in one call: each cut's partial transpose
+    is the X matrix with anti-diagonal ``anti[:, _FLIPPED[k]]``."""
+    return x_eigenvalues_stack(np.repeat(diag, 3, axis=0), anti[:, _FLIPPED].reshape(-1, 8)).reshape(len(anti), 3, 8)
 
 
-def _pair_spectra(diag, pairs) -> np.ndarray:
-    """``(N, len(pairs), 4)`` spectra of the pair states q = 0, 1, 2 (AB, AC,
-    BC) of X states, sorted in one call. They are diagonal: every coherence
-    joins states that differ in all three qubits, so a partial trace drops
-    it (Yu and Eberly, 2007)."""
-    return np.sort(diag[:, _PAIR_LOW[pairs]] + diag[:, _PAIR_HIGH[pairs]])
-
-
-def _combine(n: np.ndarray) -> np.ndarray:
-    # A one- or two-tangle's single cut, a residual's three, or the
-    # pi-tangle's six, combined as report_chunks combines them.
-    if len(n) == 1:
-        return n[0]
-    if len(n) == 3:
-        return residual(*n)
-    return pi_tangle(*_residuals(*n))
-
-
-def _selected(kind: str, r: float, params: np.ndarray, tangle: str, parts=None) -> list[float]:
-    """``getattr(full_report(r, cfg), tangle)`` for the ``kind`` cfg of each row of ``params``, bit for bit:
-    ``report_chunks``' arithmetic and checks on only the cuts the tangle reads, all points in
-    one stack (a search asks at most 117: 100 grid points beyond p_star, 17 bisection
-    midpoints). ``parts`` is r's state as ``_x_parts`` gives it, if already split."""
-    diag, anti = _x_parts(ghz_rindler_density(r, r)) if parts is None else parts
-    cuts = _SELECTOR_CUTS[tangle]
-    ones, pairs = [k for k in cuts if k < 3], [k - 3 for k in cuts if k >= 3]
-    n = np.empty((len(cuts), len(params)))
-    if ones:
-        a = dephase_x(np.full(len(params), kind == PHASE_FLIP), params, anti)
-        n[: len(ones)] = _negativity_from_spectra(_one_vs_rest_spectra(np.repeat(diag, len(a), axis=0), a, ones)).T
-    if pairs:
-        n[len(ones) :] = _negativity_from_spectra(_pair_spectra(diag, pairs)).T
-    return _combine(n).tolist()
+def _pair_spectra(diag) -> np.ndarray:
+    """``(N, 3, 4)`` spectra of the pair states q = 0, 1, 2 (AB, AC, BC) of
+    X states, sorted in one call. They are diagonal: every coherence joins
+    states that differ in all three qubits, so a partial trace drops it
+    (Yu and Eberly, 2007)."""
+    return np.sort(diag[:, _PAIR_LOW] + diag[:, _PAIR_HIGH])
 
 
 def _residuals(n_a, n_b, n_c, n_ab, n_ac, n_bc):

@@ -14,15 +14,11 @@ import pytest
 from ghztangle import closedform
 from ghztangle.analysis import DEFAULT_R_VALUES, SweepSpec, find_esd, sweep, verify
 from ghztangle.channels import CHANNEL_KINDS, CouplingConfig, apply_channel, lift
-from ghztangle.linalg import (
-    _hermitian_eigensystem,
-    hermitian_eigenvalues,
-    partial_transpose,
-)
+from ghztangle.linalg import hermitian_eigenvalues, partial_transpose
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import full_report, negativity
 
-from oracles import ghz_via_mode_trace, random_hermitian, x_state_one_tangles
+from oracles import _hermitian_eigensystem, ghz_via_mode_trace, random_hermitian, x_state_one_tangles
 
 TANGLE_FIELDS = (
     "n_A_BC",

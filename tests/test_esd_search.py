@@ -1,13 +1,12 @@
 """The sudden-death search: its results, its pinned tables and its work.
 
-``find_esd`` takes the death from the coupling weights, evaluates only
-the selected tangle, skips the rebound scan where no grid point lies
-beyond the death, and evaluates every point its rebound search asks in
-one stack, chosen by closed-form one-tangles and confirmed by the
-pipeline, which searches alone where they disagree.
-``esd_by_sequential_bisection`` below takes the death from exact
-fractions and bisects the onset one ``full_report`` per midpoint; the two
-must agree to the last bit.
+``find_esd`` takes the death from the coupling weights and decides every
+point of its rebound search from the exact X-state one-tangles, with the
+pair tangles at 0, so it solves no eigenvalue problem.
+``esd_by_sequential_bisection`` below is the numeric pipeline's search:
+it takes the death from exact fractions, scans the grid's reports and
+bisects the onset one ``full_report`` per midpoint. The two must agree to
+the last bit.
 """
 
 import hashlib
@@ -107,14 +106,15 @@ COUPLINGS = [
     ("custom", (0.5, 0.5, 0.5)),
 ]
 COUPLING_IDS = ["collective", "local_alice", "custom", "custom_0.6", "custom_1_0.5_0.25", "custom_0.5"]
+DEATH_RS = (0.0, math.pi / 16, math.pi / 8, math.pi / 6, 0.7, math.pi / 4)
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
 @pytest.mark.parametrize("coupling, weights", COUPLINGS, ids=COUPLING_IDS)
 def test_find_esd_equals_sequential_bisection(channel, coupling, weights):
     rebounds = 0
-    for r in (0.0, math.pi / 8, math.pi / 4 + 1e-3):
-        for tangle in ("n_A_BC", "n_C_AB", "pi_A", "pi_tangle", "n_AB"):
+    for r in DEATH_RS:
+        for tangle in TANGLE_SELECTORS:
             got = find_esd(channel, r, tangle=tangle, coupling=coupling, weights=weights)
             want = esd_by_sequential_bisection(channel, r, tangle, coupling, weights)
             assert repr(got) == repr(want)
@@ -131,7 +131,6 @@ DEATH_COUPLINGS = [
     ("custom", (0.3, 0.2, 0.1)),
     ("custom", (5e-324, 0.0, 0.0)),
 ]
-DEATH_RS = (0.0, math.pi / 16, math.pi / 8, math.pi / 6, 0.7, math.pi / 4)
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
@@ -165,12 +164,8 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
 
 
 @pytest.mark.parametrize(
-    "channel, tangle, most",
+    "channel, tangle, rebounds",
     [
-        # Upper bounds: one solve per stack, which holds all the one-vs-rest
-        # cuts it reads (pair cuts are diagonal and solve nothing), and one
-        # stack for the scan and bisection points together.
-        # test_find_esd_evaluates_only_what_it_reads pins the stack count.
         ("phase_flip", "n_A_BC", 1),
         ("phase_flip", "pi_tangle", 1),
         # Death on the last grid point: nothing beyond it to rebound on.
@@ -178,7 +173,9 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
         ("phase_damping", "pi_tangle", 0),
     ],
 )
-def test_find_esd_work_is_bounded(channel, tangle, most, monkeypatch):
+def test_find_esd_work_is_bounded(channel, tangle, rebounds, monkeypatch):
+    # Each point is decided from the exact one-tangles: whether the search
+    # finds a rebound or asks nothing, it solves no eigenvalue problem.
     calls = []
     solve = tangles.x_eigenvalues_stack
 
@@ -187,90 +184,9 @@ def test_find_esd_work_is_bounded(channel, tangle, most, monkeypatch):
         return solve(diag, anti)
 
     monkeypatch.setattr(tangles, "x_eigenvalues_stack", counted)
-    find_esd(channel, math.pi / 4, tangle=tangle)
-    assert len(calls) <= most
-    if most == 0:
-        assert calls == []
-
-
-@pytest.mark.parametrize(
-    "channel, tangle, coupling, weights, stacks",
-    [
-        # p_star = 1: no grid point lies beyond it, so nothing is evaluated.
-        ("phase_damping", "n_A_BC", "collective", (1.0, 1.0, 1.0), 0),
-        ("phase_damping", "pi_tangle", "collective", (1.0, 1.0, 1.0), 0),
-        ("phase_damping", "n_A_BC", "local_alice", (1.0, 1.0, 1.0), 0),
-        ("phase_damping", "pi_tangle", "local_alice", (1.0, 1.0, 1.0), 0),
-        ("phase_flip", "n_A_BC", "custom", (0.5, 0.5, 0.5), 0),
-        # One stack for the grid points the scan beyond p_star = 1/2 asks and
-        # the 17 midpoints that narrow the onset from 0.01 to BISECT_WIDTH.
-        ("phase_flip", "n_A_BC", "collective", (1.0, 1.0, 1.0), 1),
-        ("phase_flip", "pi_tangle", "collective", (1.0, 1.0, 1.0), 1),
-    ],
-    ids=["pd-nA", "pd-pi", "pd-nA-alice", "pd-pi-alice", "pf-nA-custom0.5", "pf-nA", "pf-pi"],
-)
-def test_find_esd_evaluates_only_what_it_reads(channel, tangle, coupling, weights, stacks, monkeypatch):
-    calls = count_selected(monkeypatch)
-    got = find_esd(channel, math.pi / 4, tangle=tangle, coupling=coupling, weights=weights)
-    assert len(calls) == stacks
-    assert got.rebound == (stacks > 0)
-
-
-def count_selected(monkeypatch) -> list[int]:
-    """The sizes of the ``analysis._selected`` stacks made from now on, in order."""
-    calls = []
-    selected = analysis._selected
-
-    def counted(kind, r, params, tangle, parts=None):
-        calls.append(len(params))
-        return selected(kind, r, params, tangle, parts)
-
-    monkeypatch.setattr(analysis, "_selected", counted)
-    return calls
-
-
-# The searches of test_find_esd_equals_sequential_bisection under phase flip,
-# the only channel whose searches evaluate anything.
-SEARCHES = [
-    (coupling, weights, r, tangle)
-    for coupling, weights in COUPLINGS
-    for r in (0.0, math.pi / 8, math.pi / 4 + 1e-3)
-    for tangle in ("n_A_BC", "n_C_AB", "pi_A", "pi_tangle", "n_AB")
-]
-
-
-def test_find_esd_confirms_its_prediction_in_one_stack(monkeypatch):
-    # A predictor that drifts from the pipeline fails here, not only slows the search.
-    calls = count_selected(monkeypatch)
-    rebounds = 0
-    for coupling, weights, r, tangle in SEARCHES:
-        calls.clear()
-        got = find_esd("phase_flip", r, tangle=tangle, coupling=coupling, weights=weights)
-        assert len(calls) == 1 if got.rebound else len(calls) <= 1, (coupling, weights, r, tangle)
-        rebounds += got.rebound
-    assert rebounds > 0
-
-
-@pytest.mark.parametrize(
-    "predictor",
-    [
-        lambda one_tangles: lambda *args: [n * (1.0 + 1e-3) for n in one_tangles(*args)],
-        lambda one_tangles: lambda *args: [1.0, 1.0, 1.0],
-    ],
-    ids=["scaled", "always_rebounded"],
-)
-def test_find_esd_is_the_sequential_search_when_the_prediction_fails(predictor, monkeypatch):
-    monkeypatch.setattr(analysis, "_x_one_tangles", predictor(analysis._x_one_tangles))
-    calls = count_selected(monkeypatch)
-    most = 0
-    for coupling, weights, r, tangle in SEARCHES:
-        calls.clear()
-        got = find_esd("phase_flip", r, tangle=tangle, coupling=coupling, weights=weights)
-        want = esd_by_sequential_bisection("phase_flip", r, tangle, coupling, weights)
-        assert repr(got) == repr(want)
-        most = max(most, len(calls))
-    # Some search went on past the one stack of predicted points.
-    assert most > 1
+    got = find_esd(channel, math.pi / 4, tangle=tangle)
+    assert got.rebound == bool(rebounds)
+    assert calls == []
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])

@@ -122,10 +122,10 @@ def test_public_tangles_equal_the_batched_stack_route():
     rhos = _random_x_states(rng, 16)
     diag, anti = _x_parts(rhos)
     for q in range(3):
-        stacked = _negativity_from_spectra(_one_vs_rest_spectra(diag, anti, [q])[:, 0])
+        stacked = _negativity_from_spectra(_one_vs_rest_spectra(diag, anti)[:, q])
         assert [negativity(rho, q, 3) for rho in rhos] == stacked.tolist()
     for k, pair in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
-        stacked = _negativity_from_spectra(_pair_spectra(diag, [k - 3])[:, 0])
+        stacked = _negativity_from_spectra(_pair_spectra(diag)[:, k - 3])
         assert [two_tangle(rho, pair, 3) for rho in rhos] == stacked.tolist()
 
 

@@ -16,6 +16,7 @@ from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import negativity, two_tangle
 
 from oracles import (
+    _hermitian_eigensystem,
     mp_eigenvalues,
     random_density_matrix,
     random_hermitian,
@@ -193,7 +194,7 @@ def test_eigenvalues_beyond_the_float64_range_overflow_to_infinity():
     # solve is finite, and scaling back overflows with numpy's warning.
     z = 1.5e308 * (1 + 1j)
     m = np.array([[0.0, z], [z.conjugate(), 0.0]])
-    for route in (hermitian_eigenvalues, lambda m: linalg._hermitian_eigensystem(m)[0]):
+    for route in (hermitian_eigenvalues, lambda m: _hermitian_eigensystem(m)[0]):
         with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
             assert route(m).tolist() == [-np.inf, np.inf]
 
@@ -243,7 +244,7 @@ def test_eigensystem_reconstruction():
             inputs.append(_degenerate(rng, d, kind))
     for m in inputs:
         d = m.shape[0]
-        w, v = linalg._hermitian_eigensystem(m)
+        w, v = _hermitian_eigensystem(m)
         assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-10
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-10
         assert np.abs(w - hermitian_eigenvalues(m)).max() <= 32 * EPS * np.abs(w).max()
@@ -251,7 +252,7 @@ def test_eigensystem_reconstruction():
 
 def test_eigensystem_degenerate_input():
     m = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
-    w, v = linalg._hermitian_eigensystem(m)
+    w, v = _hermitian_eigensystem(m)
     assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-10
 
 
@@ -292,7 +293,7 @@ def test_an_empty_matrix_is_refused():
     # A 0x0 matrix reached a max reduction, whose numpy message named no
     # input. The partial trace and transpose refuse it as a dimension.
     for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=int)):
-        for route in (hermitian_eigenvalues, trace_norm, linalg._hermitian_eigensystem):
+        for route in (hermitian_eigenvalues, trace_norm, _hermitian_eigensystem):
             with pytest.raises(ValueError, match="^matrix must be non-empty$"):
                 route(empty)
         with pytest.raises(ValueError, match="not a power of two"):
@@ -369,7 +370,7 @@ def test_a_real_matrix_is_solved_as_its_complex_copy(monkeypatch):
                     calls = len(exact)
                     route(m)
                     assert len(exact) == calls + 1
-                linalg._hermitian_eigensystem(m)
+                _hermitian_eigensystem(m)
     assert len(exact) == 2 + 2 * 3 * (7 * 2 + 1 + 2 + 1 + 3 + 3)
     assert all(exact)
     assert len(eigh_exact) == 7 * 2 * 3

@@ -1,8 +1,8 @@
 """The grid's float64 stack route.
 
 The accelerated GHZ state and both channels' Kraus operators are real, so
-``tangles.report_chunks`` and ``tangles._selected`` run from the built
-state to the spectra in float64. A state enters as its diagonal and
+``tangles.report_chunks`` runs from the built state to the spectra in
+float64. A state enters as its diagonal and
 anti-diagonal (``tangles._x_parts``), which refuses a state of any other
 shape, or not exactly symmetric. Every one-vs-rest cut is an X matrix,
 which ``x_eigenvalues_stack`` solves block by block, and every pair state
@@ -134,7 +134,7 @@ def test_real_cuts_solve_as_their_complex_copies(kind, r, extra):
     assert diag.dtype == anti.dtype == np.float64
     dense = [dephase_elementwise(state, coherence_factors(CouplingConfig(kind, *p))) for p in params]
     for k in range(6):
-        stacked = (tangles._one_vs_rest_spectra(diag, anti, [k]) if k < 3 else tangles._pair_spectra(diag, [k - 3]))[:, 0]
+        stacked = tangles._one_vs_rest_spectra(diag, anti)[:, k] if k < 3 else tangles._pair_spectra(diag)[:, k - 3]
         for i, m in enumerate(dense):
             cut = partial_transpose(m, k, 3) if k < 3 else partial_transpose(partial_trace(m, PAIRS[k - 3], 3), 0, 2)
             assert stacked[i].tobytes() == hermitian_eigenvalues(cut).tobytes(), (k, r, i)
@@ -163,8 +163,6 @@ def test_the_stack_route_never_calls_the_single_kernel(monkeypatch):
     for channel in CHANNEL_KINDS:
         spec = SweepSpec(channel, "collective", r_values=r_grid, p_step=0.025)
         assert sum(len(values) for values in sweep_chunks(spec)) == 41 * 41
-    ps = SweepSpec(PHASE_FLIP)._params(np.linspace(0.0, 1.0, 201))
-    assert len(tangles._selected(PHASE_FLIP, math.pi / 4, ps, "pi_tangle")) == 201
 
 
 def _count_work(monkeypatch) -> dict:
@@ -190,15 +188,3 @@ def test_report_chunks_does_each_step_once_per_stack(monkeypatch):
     assert stacks == -(-41 * 41 // 16)
     assert calls == {"dephase_x": stacks, "x_eigenvalues_stack": stacks, "_negativity_from_spectra": stacks + 1, "_pair_spectra": 1}
 
-
-@pytest.mark.parametrize("tangle", analysis.TANGLE_SELECTORS)
-def test_selected_evaluates_a_search_in_one_stack(tangle, monkeypatch):
-    # A search asks at most 117 points; _selected evaluates them in one
-    # stack, whatever CHUNK is, and skips the kind of cut its tangle does not read.
-    monkeypatch.setattr(tangles, "CHUNK", 16)
-    ps = SweepSpec(PHASE_FLIP)._params(np.linspace(0.5, 1.0, 117))
-    calls = _count_work(monkeypatch)
-    assert len(tangles._selected(PHASE_FLIP, math.pi / 4, ps, tangle)) == 117
-    ones = any(k < 3 for k in tangles._SELECTOR_CUTS[tangle])
-    pairs = any(k >= 3 for k in tangles._SELECTOR_CUTS[tangle])
-    assert calls == {"dephase_x": ones, "x_eigenvalues_stack": ones, "_negativity_from_spectra": ones + pairs, "_pair_spectra": pairs}

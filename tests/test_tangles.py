@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from ghztangle import linalg, tangles
-from ghztangle.analysis import TANGLE_SELECTORS
 from ghztangle.channels import CouplingConfig, apply_channel, lift
 from ghztangle.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from ghztangle.rindler import ghz_rindler_density
 from ghztangle.tangles import (
     TangleReport,
     full_report,
-    full_reports,
     negativity,
     pi_tangle,
     residual,
@@ -335,31 +333,9 @@ def test_report_field_order_is_frozen():
     ]
 
 
-def _bits(values):
-    return [float(x).hex() for x in values]
-
-
-@pytest.mark.parametrize("kind", ["phase_flip", "phase_damping"])
-@pytest.mark.parametrize("coupling", ["collective", "local_alice", "custom"])
-def test_selected_tangle_equals_full_report_bit_for_bit(kind, coupling, monkeypatch):
-    monkeypatch.setattr(tangles, "CHUNK", 16)
-    ps = [i / 130 for i in range(131)] + [0.5 + s * 10.0**-k for k in range(2, 9) for s in (-1.0, 1.0)]
-    assert len(ps) > tangles.CHUNK  # crosses chunk boundaries
-    if coupling == "custom":
-        cfgs = [CouplingConfig(kind, p, 0.5 * p, 0.25 * p, label="custom") for p in ps]
-    else:
-        cfgs = [getattr(CouplingConfig, coupling)(kind, p) for p in ps]
-    for r in (0.0, math.pi / 8, math.pi / 4):
-        # full_reports equals full_report point by point (tests/test_golden.py).
-        reports = full_reports([r] * len(cfgs), cfgs)
-        for tangle in TANGLE_SELECTORS:
-            got = tangles._selected(kind, r, np.array([cfg.params for cfg in cfgs]), tangle)
-            assert _bits(got) == _bits(getattr(rep, tangle) for rep in reports), tangle
-
-
 def test_the_block_solve_receives_float64_parts(monkeypatch):
     # x_eigenvalues_stack does not check its dtype: _x_parts and dephase_x
-    # give it float64 on the grid route and on the esd route alike.
+    # give it float64.
     seen = []
     solve = tangles.x_eigenvalues_stack
 
@@ -372,7 +348,4 @@ def test_the_block_solve_receives_float64_parts(monkeypatch):
     flip = np.array([True, False, True, False])
     params = np.array([[0.2, 0.2, 0.2], [0.5, 0.0, 0.0], [1.0, 0.5, 0.25], [0.0, 0.0, 0.0]])
     list(tangles.report_chunks(r, flip, params))
-    for kind in ("phase_damping", "phase_flip"):
-        for tangle in ("n_A_BC", "pi_tangle"):
-            tangles._selected(kind, math.pi / 4, params, tangle)
-    assert seen == [(np.float64, np.float64)] * 5
+    assert seen == [(np.float64, np.float64)]
