@@ -58,6 +58,8 @@ class SweepSpec:
             raise ValueError("empty r list")
         for r in self.r_values:
             check_accel_param(r)
+        if len(self.weights) != 3:
+            raise ValueError("weights must be three values, one per qubit")
         for w in self.weights:
             if not 0.0 <= w <= 1.0:
                 raise ValueError("weights must be in [0, 1]")
@@ -155,22 +157,26 @@ def find_esd(
     transpose then holds a block [[d, c], [c*, 0]], which has a negative
     eigenvalue unless c = 0. So a one-tangle, its residual and the
     pi-tangle are dead exactly where some factor is zero: p_star is
-    ``channels._first_zero`` of the weights, or 1 with the no_esd flag if
-    there is none. The two-tangles always are dead (p_star = 0).
+    ``channels._first_zero`` of the weights.
 
-    A rebound above REBOUND_TOL is looked for on the default p grid beyond
-    p_star by ``_search``. Each point it asks is decided from the exact
-    one-tangles ``_x_one_tangles`` of the state split and checked once per
-    search, with the two-tangles at 0, combined into the residuals and the
-    pi-tangle as ``report_chunks`` combines them. RuntimeError if the state
-    is not such an X-state; ValueError for any input ``SweepSpec`` refuses.
+    Three answers come from this proof, with nothing evaluated: a two-tangle
+    is dead from p = 0 with no rebound (the pair states are diagonal); with
+    no zero, p_star is 1 with the no_esd flag; a death on the last grid
+    point leaves nothing to rebound on. Else ``_rebound_onset`` looks for a
+    rebound above REBOUND_TOL, each point decided from the exact one-tangles
+    ``_x_one_tangles`` of the state split and checked once per search, the
+    two-tangles at 0, combined into the residuals and the pi-tangle as
+    ``report_chunks`` combines them. RuntimeError if the state is not such
+    an X-state; ValueError for any input ``SweepSpec`` refuses.
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
     diag, anti = (a[0].tolist() for a in _check_x_state(r))
+    if tangle in _PAIR_SELECTORS:
+        return EsdResult(channel, coupling, r, tangle, 0.0, False, False, None)
     ws, column = spec._weights(), TANGLE_SELECTORS.index(tangle)
-    p_star = 0.0 if tangle in _PAIR_SELECTORS else _first_zero(channel, ws)
+    p_star = _first_zero(channel, ws)
     if p_star is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
 
@@ -179,8 +185,7 @@ def find_esd(
         res = _residuals(*n)
         return (*n, *res, pi_tangle(*res))[column] > REBOUND_TOL
 
-    # With no grid point beyond p_star (p_star = 1) the search asks nothing.
-    onset = _search([p for p in _ESD_GRID if p > p_star], p_star, rebounded)
+    onset = _rebound_onset(p_star, rebounded)
     return EsdResult(channel, coupling, r, tangle, p_star, False, onset is not None, onset)
 
 
@@ -197,28 +202,23 @@ def _x_one_tangles(channel: str, diag: list[float], anti: list[float], params) -
     return [b / (math.sqrt(d * d + b) + d) if b else 0.0 for d in (diag[3], diag[2], diag[1])]
 
 
-def _search(beyond: list[float], p_star: float, decide) -> float | None:
-    """The rebound onset, or None: the first grid point p in ``beyond`` with
-    ``decide(p)``, then ``_bisect`` from the point before it, or p_star."""
-    after = next((i for i, p in enumerate(beyond) if decide(p)), None)
-    if after is None:
-        return None
-    return _bisect(beyond[after - 1] if after else p_star, beyond[after], decide)
-
-
-def _bisect(lo: float, hi: float, decide) -> float:
-    """Bisect (lo, hi] down to BISECT_WIDTH and return its upper end.
-
-    ``decide(p)`` says whether the sought point lies at or below p; each
-    midpoint is decided once, in order.
-    """
-    while hi - lo > BISECT_WIDTH:
-        mid = (lo + hi) / 2.0
-        if decide(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _rebound_onset(p_star: float, decide) -> float | None:
+    """The first point p of ``_ESD_GRID`` beyond p_star with ``decide(p)``,
+    bisected from the point before it, or p_star, down to BISECT_WIDTH: the
+    upper end, or None. Each point is decided once, in order; with no grid
+    point beyond p_star (p_star = 1) nothing is asked."""
+    lo = p_star
+    for hi in (p for p in _ESD_GRID if p > p_star):
+        if decide(hi):
+            while hi - lo > BISECT_WIDTH:
+                mid = (lo + hi) / 2.0
+                if decide(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+        lo = hi
+    return None
 
 
 def _gaps(col: dict):

@@ -58,6 +58,12 @@ def test_sweep_spec_validation():
     for coupling in ("collective", "local_alice"):
         with pytest.raises(ValueError, match="weights apply only to coupling 'custom'"):
             SweepSpec("phase_flip", coupling, weights=(0.5, 0, 0))
+    # One weight per qubit: a fourth weight is not read as a fourth qubit.
+    for weights in ((0.2, 0.2, 0.2, 1.0), (1.0, 0.5), ()):
+        with pytest.raises(ValueError, match="weights must be three values"):
+            SweepSpec("phase_flip", coupling="custom", weights=weights)
+        with pytest.raises(ValueError, match="weights must be three values"):
+            find_esd("phase_flip", 0.3, coupling="custom", weights=weights)
     with pytest.raises(ValueError, match="empty r list"):
         SweepSpec("phase_flip", r_values=())
     with pytest.raises(ValueError, match="r out of range"):

@@ -171,22 +171,31 @@ def test_esd_table_is_byte_identical(flags, digest, capsys):
         # Death on the last grid point: nothing beyond it to rebound on.
         ("phase_damping", "n_A_BC", 0),
         ("phase_damping", "pi_tangle", 0),
+        # A pair tangle is dead at every p: the X-state proof answers alone.
+        *((channel, pair, 0) for channel in ("phase_flip", "phase_damping") for pair in ("n_AB", "n_AC", "n_BC")),
     ],
 )
 def test_find_esd_work_is_bounded(channel, tangle, rebounds, monkeypatch):
     # Each point is decided from the exact one-tangles: whether the search
-    # finds a rebound or asks nothing, it solves no eigenvalue problem.
-    calls = []
-    solve = tangles.x_eigenvalues_stack
+    # finds a rebound or asks nothing, it solves no eigenvalue problem. Only
+    # the searches that rebound here ask any point at all.
+    calls, asked = [], []
+    solve, one_tangles = tangles.x_eigenvalues_stack, analysis._x_one_tangles
 
     def counted(diag, anti):
         calls.append(diag.shape[0])
         return solve(diag, anti)
 
+    def counted_one_tangles(*args):
+        asked.append(args)
+        return one_tangles(*args)
+
     monkeypatch.setattr(tangles, "x_eigenvalues_stack", counted)
+    monkeypatch.setattr(analysis, "_x_one_tangles", counted_one_tangles)
     got = find_esd(channel, math.pi / 4, tangle=tangle)
     assert got.rebound == bool(rebounds)
     assert calls == []
+    assert bool(asked) == bool(rebounds)
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
@@ -211,8 +220,8 @@ def test_predicted_one_tangles_match_the_mpmath_route(channel):
 
 
 def test_find_esd_checks_the_state_before_returning_early(monkeypatch):
-    # A phase-damping search evaluates nothing, yet still rejects a state
-    # that is not an X state.
+    # A phase-damping search and a pair-tangle search evaluate nothing, yet
+    # each still rejects a state that is not an X state, as a search does.
     def with_second_coherence(rb, rc):
         rho = ghz_rindler_density(rb, rc)
         rho[1, 6] = rho[6, 1] = 0.01
@@ -221,3 +230,7 @@ def test_find_esd_checks_the_state_before_returning_early(monkeypatch):
     monkeypatch.setattr(analysis, "ghz_rindler_density", with_second_coherence)
     with pytest.raises(RuntimeError, match="not an X-state"):
         find_esd("phase_damping", 0.3)
+    with pytest.raises(RuntimeError, match="not an X-state"):
+        find_esd("phase_flip", 0.3)
+    with pytest.raises(RuntimeError, match="not an X-state"):
+        find_esd("phase_flip", 0.3, tangle="n_AB")
