@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, PHASE_FLIP, CouplingConfig, _coherence_factors, _first_zero
 from .rindler import check_accel_param, ghz_rindler_density
-from .tangles import NUMERIC_COLUMNS, TangleReport, _residuals, _x_parts, pi_tangle, report_chunks
+from .tangles import NUMERIC_COLUMNS, TangleReport, report_chunks
 
 DEFAULT_R_VALUES = (0.0, math.pi / 8, math.pi / 6, math.pi / 4)
 # Per-qubit weights of the swept p; a "custom" coupling takes the spec's.
@@ -35,6 +35,10 @@ TANGLE_SELECTORS = tuple(
 # The pair states of an X-state are diagonal, so the two-tangles vanish
 # identically: dead from p = 0.
 _PAIR_SELECTORS = ("n_AB", "n_AC", "n_BC")
+# False where find_esd's death proof allows a nonzero entry: rho[j, j] for
+# j = 0..3 and 7, and the coherence rho[0, 7] with its mirror rho[7, 0].
+_OFF_SUPPORT = np.ones((8, 8), dtype=bool)
+_OFF_SUPPORT[[0, 1, 2, 3, 7, 0, 7], [0, 1, 2, 3, 7, 7, 0]] = False
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,19 @@ class EsdResult:
     rebound_onset: float | None
 
 
-def _check_x_state(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """``tangles._x_parts(ghz_rindler_density(r, r))``; RuntimeError unless
-    its only nonzero entries are rho[j, j] for j = 0..3 and 7, and the
-    coherence rho[0, 7] with its mirror. Every decision of find_esd, its
-    death and each rebound point, rests on this shape, and ``_x_one_tangles``
-    on the zeros rho[4, 4] = rho[5, 5] = rho[6, 6] = 0."""
-    diag, anti = _x_parts(ghz_rindler_density(r, r))
-    if diag[:, 4:7].any() or anti[:, 1:7].any():
+def _check_x_state(r: float) -> tuple[tuple[float, float, float], float]:
+    """The cut diagonals (rho[3, 3], rho[2, 2], rho[1, 1]) and the coherence rho[0, 7]
+    of ``ghz_rindler_density(r, r)`` as Python floats; RuntimeError unless it is real,
+    zero on ``_OFF_SUPPORT``, and rho[7, 0] == rho[0, 7], which NaN is not.
+    Every decision of find_esd rests on this shape: each cut holds one block, and the
+    pair states are diagonal, so the pair tangles are 0 and a residual is n*n."""
+    rho = ghz_rindler_density(r, r)
+    if np.count_nonzero(rho.imag):
+        raise RuntimeError("state has an imaginary part; the exact death criterion needs a real one")
+    rho = rho.real
+    if np.count_nonzero(rho[_OFF_SUPPORT]) or rho.item(0, 7) != rho.item(7, 0):
         raise RuntimeError("state is not an X-state; the exact death criterion does not apply")
-    return diag, anti
+    return (rho.item(3, 3), rho.item(2, 2), rho.item(1, 1)), rho.item(0, 7)
 
 
 def find_esd(
@@ -164,42 +171,49 @@ def find_esd(
     no zero, p_star is 1 with the no_esd flag; a death on the last grid
     point leaves nothing to rebound on. Else ``_rebound_onset`` looks for a
     rebound above REBOUND_TOL, each point decided from the exact one-tangles
-    ``_x_one_tangles`` of the state split and checked once per search, the
-    two-tangles at 0, combined into the residuals and the pi-tangle as
-    ``report_chunks`` combines them. RuntimeError if the state is not such
-    an X-state; ValueError for any input ``SweepSpec`` refuses.
+    ``_x_one_tangles`` of the cuts the selector reads, on the Python floats
+    ``_check_x_state`` returns once per search. The pair tangles are 0, so
+    a residual n*n - 0*0 - 0*0 is n*n and the pi-tangle their mean, bit for
+    bit what ``residual`` and ``pi_tangle`` give. RuntimeError if the state
+    is not such an X-state; ValueError for any input ``SweepSpec`` refuses.
     """
     if tangle not in TANGLE_SELECTORS:
         raise ValueError(f"unknown tangle selector {tangle!r}")
     spec = SweepSpec(channel, coupling, weights=weights, r_values=(r,))
-    diag, anti = (a[0].tolist() for a in _check_x_state(r))
+    cut_diags, coherence = _check_x_state(r)
     if tangle in _PAIR_SELECTORS:
         return EsdResult(channel, coupling, r, tangle, 0.0, False, False, None)
     ws, column = spec._weights(), TANGLE_SELECTORS.index(tangle)
     p_star = _first_zero(channel, ws)
     if p_star is None:
         return EsdResult(channel, coupling, r, tangle, 1.0, True, False, None)
+    # Columns 0-2 are the one-tangles, 6-8 their residuals and 9 the pi-tangle:
+    # n_X_YZ and pi_X read the cut of X alone, the pi-tangle all three.
+    cuts = cut_diags if tangle == "pi_tangle" else (cut_diags[column % 3],)
 
     def rebounded(p: float) -> bool:
-        n = _x_one_tangles(channel, diag, anti, [w * p for w in ws]) + [0.0] * 3  # pair tangles are 0
-        res = _residuals(*n)
-        return (*n, *res, pi_tangle(*res))[column] > REBOUND_TOL
+        n = _x_one_tangles(channel, cuts, coherence, [w * p for w in ws])
+        if column < 3:
+            return n[0] > REBOUND_TOL
+        if column < 9:
+            return n[0] * n[0] > REBOUND_TOL
+        return (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) / 3.0 > REBOUND_TOL
 
     onset = _rebound_onset(p_star, rebounded)
     return EsdResult(channel, coupling, r, tangle, p_star, False, onset is not None, onset)
 
 
-def _x_one_tangles(channel: str, diag: list[float], anti: list[float], params) -> list[float]:
-    """The one-tangles (A|BC, B|AC, C|AB) on Python floats of the state ``_check_x_state``
-    split, after the channel at ``params``. Its coherence becomes c = rho[0, 7] f0 f1 f2,
-    and each cut's partial transpose holds one non-diagonal block [[d, c], [c, 0]],
-    d = rho[3, 3], rho[2, 2] or rho[1, 1], whose negativity sqrt(d^2 + 4c^2) - d is
-    written without cancellation (Yu and Eberly, QIC 7, 459, 2007)."""
-    c = anti[0]
+def _x_one_tangles(channel: str, cuts: tuple[float, ...], c: float, params) -> list[float]:
+    """On Python floats, the one-tangle of each cut whose diagonal d is in ``cuts``
+    (rho[3, 3] for A|BC, rho[2, 2] for B|AC, rho[1, 1] for C|AB) after the channel at
+    ``params``. The coherence c = rho[0, 7] becomes c f0 f1 f2, and each cut holds one
+    block [[d, c], [c, 0]], whose negativity sqrt(d^2 + 4c^2) - d is written without
+    cancellation (Yu and Eberly, QIC 7, 459, 2007). The pair tangles are 0, so the
+    cut's residual is n*n."""
     for x in params:
         c *= _coherence_factors(channel, x)
     b = 4.0 * c * c
-    return [b / (math.sqrt(d * d + b) + d) if b else 0.0 for d in (diag[3], diag[2], diag[1])]
+    return [b / (math.sqrt(d * d + b) + d) if b else 0.0 for d in cuts]
 
 
 def _rebound_onset(p_star: float, decide) -> float | None:

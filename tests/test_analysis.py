@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,57 @@ def test_find_esd_rejects_x_state_with_a_second_coherence(monkeypatch):
     monkeypatch.setattr(analysis, "ghz_rindler_density", with_second_coherence)
     with pytest.raises(RuntimeError, match="not an X-state; the exact death criterion"):
         find_esd("phase_flip", 0.3)
+
+
+def _symmetric_entry(i, j):
+    def edit(rho):
+        rho[i, j] = rho[j, i] = 0.01
+
+    return edit
+
+
+def _mirror_one_ulp_off(rho):
+    rho[7, 0] = np.nextafter(rho[7, 0].real, 1.0)
+
+
+def _nan_coherence(rho):
+    rho[0, 7] = rho[7, 0] = math.nan
+
+
+def _imaginary_coherence(rho):
+    rho[0, 7] += 0.01j
+    rho[7, 0] -= 0.01j
+
+
+# Every way off the support the death proof allows: the 27 symmetric pairs
+# other than the coherence, the empty diagonal entries rho[4, 4], rho[5, 5]
+# and rho[6, 6], a coherence that is not its own mirror or not a number,
+# and an imaginary part.
+SUPPORT_BREAKS = [
+    *(
+        pytest.param(_symmetric_entry(i, j), "not an X-state", id=f"rho[{i},{j}]")
+        for i in range(8)
+        for j in range(i, 8)
+        if (i, j) != (0, 7) and (i < j or i in (4, 5, 6))
+    ),
+    pytest.param(_mirror_one_ulp_off, "not an X-state", id="mirror-one-ulp-off"),
+    pytest.param(_nan_coherence, "not an X-state", id="nan-coherence"),
+    pytest.param(_imaginary_coherence, "imaginary part", id="imaginary-coherence"),
+]
+
+
+@pytest.mark.parametrize("edit, match", SUPPORT_BREAKS)
+@pytest.mark.parametrize("channel, tangle", [("phase_damping", "n_A_BC"), ("phase_flip", "n_AB")])
+def test_find_esd_refuses_every_entry_off_the_support(edit, match, channel, tangle, monkeypatch):
+    # Neither search evaluates a point, so only the state check can refuse.
+    def edited(rb, rc):
+        rho = ghz_rindler_density(rb, rc)
+        edit(rho)
+        return rho
+
+    monkeypatch.setattr(analysis, "ghz_rindler_density", edited)
+    with pytest.raises(RuntimeError, match=match):
+        find_esd(channel, 0.3, tangle=tangle)
 
 
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])

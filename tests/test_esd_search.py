@@ -198,6 +198,23 @@ def test_find_esd_work_is_bounded(channel, tangle, rebounds, monkeypatch):
     assert bool(asked) == bool(rebounds)
 
 
+@pytest.mark.parametrize(
+    "tangle, cuts",
+    [*((tangle, 1) for tangle in ("n_A_BC", "n_B_AC", "n_C_AB", "pi_A", "pi_B", "pi_C")), ("pi_tangle", 3)],
+)
+def test_a_search_reads_only_the_cuts_its_selector_needs(tangle, cuts, monkeypatch):
+    # A one-tangle and its residual read one cut's block, the pi-tangle all three.
+    received, one_tangles = [], analysis._x_one_tangles
+
+    def counted(channel, diagonals, *args):
+        received.append(len(diagonals))
+        return one_tangles(channel, diagonals, *args)
+
+    monkeypatch.setattr(analysis, "_x_one_tangles", counted)
+    assert find_esd("phase_flip", math.pi / 4, tangle=tangle).rebound
+    assert received and set(received) == {cuts}
+
+
 @pytest.mark.parametrize("channel", ["phase_flip", "phase_damping"])
 def test_predicted_one_tangles_match_the_mpmath_route(channel):
     checked = 0
@@ -206,10 +223,10 @@ def test_predicted_one_tangles_match_the_mpmath_route(channel):
         death = exact_death(channel, "n_A_BC", spec.config_at(1.0).params)
         near = [] if death is None else [p for p in (float(death) - 1e-9, float(death) + 1e-9) if p <= 1]
         for r in DEATH_RS:
-            diag, anti = (a[0].tolist() for a in analysis._check_x_state(r))
+            cuts, coherence = analysis._check_x_state(r)
             for p in (*analysis._ESD_GRID[::5], *near):
                 params = spec.config_at(p).params
-                got = analysis._x_one_tangles(channel, diag, anti, params)
+                got = analysis._x_one_tangles(channel, cuts, coherence, params)
                 for n, exact in zip(got, mp_one_tangles(r, channel, *params)):
                     if exact == 0:
                         assert n == 0.0
